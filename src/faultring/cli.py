@@ -1,7 +1,10 @@
 """Command-line surface: analyze, simulate, table2, and validate.
 
-All behavior is flag-driven; no environment variables are consulted. Exit
-codes: 0 success, 2 scenario or usage error, 3 validation failure, 4 engine
+All behavior is flag-driven; no environment variables are consulted. A
+--budget is a ceiling on the exact engine's predicted cost (see
+reliability.predicted_cost): analyze refuses a scenario above it and table2
+skips the rows above it. Exit codes: 0 success, 2 scenario or usage error
+(an analyze scenario over budget included), 3 validation failure, 4 engine
 cross-check failure, 5 rows skipped under the table2 budget when
 --skips-as-error is set.
 """
@@ -22,11 +25,13 @@ from faultring.faults import (
     validate_complex,
 )
 from faultring.montecarlo import McConfig, estimate_p_hit
-from faultring.reference import CONVENTION_NOTE, REFERENCE_ROWS, predicted_sweep_cost
+from faultring.reference import CONVENTION_NOTE, REFERENCE_ROWS
 from faultring.reliability import (
+    DEFAULT_BUDGET,
     EngineMismatch,
     compute_reliability,
     format_probability,
+    predicted_cost,
 )
 from faultring.scenarios import (
     CROSS_CHECKS,
@@ -43,10 +48,10 @@ EXIT_VALIDATION = 3
 EXIT_CROSS_CHECK = 4
 EXIT_SKIPPED = 5
 
-# table2 row gating: presets over the predicted sweep-operation count.
-# "default" admits every built-in row (the heaviest needs ~1.7e7 operations);
-# "low" keeps only rows that finish well under a second.
-BUDGET_PRESETS = {"low": 2e6, "default": 1e8, "high": float("inf")}
+# table2 row gating: presets over the predicted cost of the exact engine.
+# "default" admits every built-in row (the heaviest, rows 10 and 11, cost
+# ~2.2e6); "low" skips those two.
+BUDGET_PRESETS = {"low": 2e6, "default": DEFAULT_BUDGET, "high": float("inf")}
 
 
 def _positive_int(text: str) -> int:
@@ -181,7 +186,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             complex_,
             engine=engine,
             cross_check=cross,
-            workers=args.workers,
             budget=budget,
             obstacle=obstacle,
         )
@@ -255,7 +259,8 @@ def cmd_table2(args: argparse.Namespace) -> int:
             "published": f"{ref.published_p_hit:.3f}",
             "convention": ref.convention,
         }
-        cost = predicted_sweep_cost(ref)
+        shape, complex_ = ref.build()
+        cost = predicted_cost(shape)
         if cost > args.budget:
             skipped += 1
             rows.append(
@@ -269,16 +274,13 @@ def cmd_table2(args: argparse.Namespace) -> int:
                     "engine": "",
                     "runtime_s": "",
                     "status": "SKIPPED",
-                    "note": f"predicted sweep cost {cost:.1e} exceeds budget {args.budget:.1e}",
+                    "note": f"predicted cost {cost:.1e} exceeds budget {args.budget:.1e}",
                 }
             )
             continue
-        shape, complex_ = ref.build()
         start = time.perf_counter()
-        blocked = compute_reliability(shape, complex_, engine="auto", workers=args.workers)
-        faults = compute_reliability(
-            shape, complex_, engine="auto", workers=args.workers, obstacle="faults"
-        )
+        blocked = compute_reliability(shape, complex_, budget=args.budget)
+        faults = compute_reliability(shape, complex_, budget=args.budget, obstacle="faults")
         runtime = time.perf_counter() - start
         own = blocked if ref.convention == "blocked" else faults
         diff = abs(float(own.p_hit) - ref.published_p_hit)
@@ -359,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--precision", type=_nonneg_int, default=None, metavar="N")
     analyze.add_argument("--obstacle", choices=OBSTACLES, default=None)
     analyze.add_argument("--budget", type=float, default=None, metavar="OPS",
-                         help="auto-engine cost ceiling (default from scenario)")
-    analyze.add_argument("--workers", type=_positive_int, default=1, metavar="N")
+                         help="refuse scenarios whose predicted cost exceeds this "
+                              "(default from scenario)")
     analyze.set_defaults(func=cmd_analyze)
 
     simulate = sub.add_parser("simulate", help="seeded Monte-Carlo estimate for one scenario")
@@ -377,11 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(table2, scenario=False)
     table2.add_argument(
         "--budget", type=_budget_value, default=BUDGET_PRESETS["default"], metavar="OPS",
-        help="skip rows whose predicted sweep cost exceeds this "
+        help="skip rows whose predicted cost exceeds this "
              "(low/default/high or a number)",
     )
     table2.add_argument("--precision", type=_nonneg_int, default=None, metavar="N")
-    table2.add_argument("--workers", type=_positive_int, default=1, metavar="N")
     table2.add_argument(
         "--skips-as-error", action="store_true",
         help="exit 5 when any row was skipped under the budget",

@@ -17,6 +17,9 @@ under. All origins are 0-based minimum corners and extents count nodes;
 no per-dimension shifts are needed. Three of the ring-labeled rows (5, 6
 and 11) have blocks touching the mesh border, so this package classifies
 them as chains; the published labels are kept verbatim in `published_label`.
+
+Every row, the large rings included, is computed exactly in well under a
+second per avoid set; none needs the Monte-Carlo estimator.
 """
 
 from __future__ import annotations
@@ -69,16 +72,3 @@ def reference_row(row: int) -> ReferenceRow:
             return r
     raise KeyError(f"no reference row {row}")
 
-
-def predicted_sweep_cost(row: ReferenceRow) -> float:
-    """Rough operation count for the sweep engine on one avoid-set pass.
-
-    One pass relaxes every mesh cell once per non-faulty source, touching n
-    predecessors each. Used by the reference-table command to budget rows.
-    """
-    shape = MeshShape(row.radices)
-    faults = 1
-    for e in row.extents:
-        faults *= e
-    free = shape.node_count - faults
-    return float(free) * shape.node_count * shape.n

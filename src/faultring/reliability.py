@@ -9,10 +9,11 @@ For a mesh with fault region F, ring R, and blocked set FR = F + R:
 * the miss probability is miss_paths / total_paths as an exact fraction,
   and the hit probability is its complement.
 
-Two independent engines compute miss_paths: "dp" sweeps the mesh once per
-source node (fast, the default at scale) and "det" evaluates a path
-determinant per pair. Cross-check modes rerun pairs on both engines and
-fail loudly on any disagreement.
+One all-pairs engine, "dp", computes both sums: a few dynamic-program
+passes over the whole mesh, each counting the paths from every endpoint at
+once (see _pair_sum). "det" evaluates the paper's path determinant per pair
+and serves as the independent oracle for miss_paths. Cross-check modes rerun
+pairs on both per-pair engines and fail loudly on any disagreement.
 
 The avoid set defaults to FR ("blocked"). Passing obstacle="faults" instead
 counts paths that dodge the fault region F alone, with numerator pairs drawn
@@ -21,16 +22,14 @@ outside F; published reference tables use that quantity for interior rings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from multiprocessing import Pool
 from typing import Iterable, Literal, Sequence
 
 from faultring.faults import Classification, FaultComplex
 from faultring.mesh import Coord, MeshShape
-from faultring.paths import avoiding_det, avoiding_dp, multinomial, restriction_points
+from faultring.paths import avoiding_det, avoiding_dp, restriction_points
 
 Engine = Literal["det", "dp"]
 EnginePolicy = Literal["auto", "det", "dp"]
@@ -38,6 +37,7 @@ CrossCheck = Literal["off", "sample", "full"]
 Obstacle = Literal["blocked", "faults"]
 
 _CROSS_CHECK_SAMPLE_LIMIT = 64
+DEFAULT_BUDGET = 1e8
 
 
 def _avoid_set(complex_: FaultComplex, obstacle: Obstacle) -> frozenset[Coord]:
@@ -61,118 +61,87 @@ class EngineMismatch(RuntimeError):
         )
 
 
-def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
-    """Sum of minimal-path counts over unordered pairs of distinct non-faulty nodes.
-
-    Counts by offset vector: the number of ordered pairs with a given
-    componentwise offset factorizes per dimension, so the full double sum
-    collapses to one pass over offset vectors, with small corrections
-    subtracting pairs that involve a faulty endpoint.
-    """
-    faults = {f for f in fault_nodes if shape.contains(f)}
-    if shape.node_count - len(faults) < 2:
-        raise ValueError("need at least two non-faulty nodes")
-
-    ordered = 0
-    for offsets in product(*(range(r) for r in shape.radices)):
-        if not any(offsets):
-            continue
-        ways = 1
-        for d, r in zip(offsets, shape.radices):
-            ways *= r if d == 0 else 2 * (r - d)
-        ordered += ways * multinomial(offsets)
-
-    if faults:
-        # Remove ordered pairs with >= 1 faulty endpoint (inclusion-exclusion).
-        all_nodes = list(shape.nodes())
-        fault_to_any = 0
-        for f in faults:
-            for v in all_nodes:
-                if v != f:
-                    fault_to_any += multinomial(tuple(abs(x - y) for x, y in zip(f, v)))
-        fault_to_fault = 0
-        flist = sorted(faults)
-        for i, f in enumerate(flist):
-            for g in flist[i + 1:]:
-                fault_to_fault += multinomial(tuple(abs(x - y) for x, y in zip(f, g)))
-        ordered -= 2 * fault_to_any - 2 * fault_to_fault
-
-    assert ordered % 2 == 0
-    return ordered // 2
-
-
 def _free_nodes(shape: MeshShape, blocked: frozenset[Coord]) -> list[Coord]:
     return [v for v in shape.nodes() if v not in blocked]
 
 
-def _sweep_source(
-    a: Coord,
-    radices: tuple[int, ...],
-    strides: tuple[int, ...],
-    blocked_flat: frozenset[int],
-) -> int:
-    """Sum of avoiding-path counts from source a to every node outside the blocked set.
+def predicted_cost(shape: MeshShape) -> int:
+    """Cells relaxed by the exact engine over both sums: 3^n * n * N.
 
-    One pass per orthant of the mesh around a; each node is computed exactly
-    once, in the orthant matching its componentwise position relative to a.
-    Counts are over paths that are minimal for the (a, node) pair and touch
-    no blocked node.
+    Each sum makes (3^n - 1) / 2 passes over the N nodes, and a pass relaxes
+    at most n predecessors per node. Every `budget` is a ceiling on this count.
     """
-    n = len(radices)
-    a_flat = sum(c * s for c, s in zip(a, strides))
-    counts: dict[int, int] = {a_flat: 1}
-    total = 0
-    for signs in product((1, -1), repeat=n):
-        axes = []
-        for i in range(n):
-            stride = strides[i]
-            if signs[i] == 1:
-                # Offset 0 included: unmoved dimensions belong to the + side.
-                axes.append([(p * stride, p != a[i]) for p in range(a[i], radices[i])])
-            else:
-                axes.append([(p * stride, True) for p in range(a[i] - 1, -1, -1)])
-        if not all(axes):
+    return 3**shape.n * shape.n * shape.node_count
+
+
+def _pair_sum(
+    shape: MeshShape, endpoints: Sequence[Coord], forbidden: Iterable[Coord]
+) -> int:
+    """Sum of minimal paths avoiding `forbidden` over unordered pairs of distinct endpoints.
+
+    Endpoints must lie outside `forbidden`. One pass per direction vector d in
+    {+1, -1, 0}^n computes, at every node v,
+
+        G(v) = [v not forbidden] * ([v is an endpoint] + sum_{i: d_i != 0} G(v - d_i e_i)),
+
+    the avoiding paths into v from every endpoint that d orients toward v,
+    with the axes where d_i = 0 frozen. Summed at the endpoints minus their
+    own count, a pass counts the ordered pairs of distinct endpoints that d
+    orients. An axis on which a pair agrees is counted up, down and frozen,
+    so weighting a pass by (-1)^(frozen axes) counts every ordered pair
+    exactly once. Reversing a path maps the pass for d onto the pass for -d,
+    so the passes whose first non-zero entry is +1 count each unordered pair
+    exactly once.
+    """
+    radices = shape.radices
+    n = shape.n
+    # A border of zero cells on every side stands in for missing predecessors.
+    strides = [1] * n
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * (radices[i + 1] + 2)
+
+    def flat(v: Coord) -> int:
+        return sum((x + 1) * s for x, s in zip(v, strides))
+
+    ends = [flat(v) for v in endpoints]
+    seed = [0] * (strides[0] * (radices[0] + 2))
+    for p in ends:
+        seed[p] = 1
+    blocked = set(forbidden)
+
+    # Passes sharing the orientation of every axis share one visiting order.
+    by_orientation: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+    for d in product((1, -1, 0), repeat=n):
+        if next((x for x in d if x), -1) != 1:
             continue
-        deltas = tuple(signs[i] * strides[i] for i in range(n))
-        for cell in product(*axes):
-            flat = 0
-            for contrib, _ in cell:
-                flat += contrib
-            if flat in counts:  # only the source cell reappears
-                continue
-            if flat in blocked_flat:
-                counts[flat] = 0
-                continue
-            acc = 0
-            for i in range(n):
-                if cell[i][1]:
-                    acc += counts[flat - deltas[i]]
-            counts[flat] = acc
-            total += acc
+        sign = -1 if d.count(0) % 2 else 1
+        steps = [x * s for x, s in zip(d, strides) if x]
+        by_orientation.setdefault(tuple(x or 1 for x in d), []).append((sign, steps))
+
+    total = 0
+    for orientation, passes in by_orientation.items():
+        axes = [range(r) if o == 1 else range(r - 1, -1, -1) for o, r in zip(orientation, radices)]
+        order = [flat(v) for v in product(*axes) if v not in blocked]
+        for sign, steps in passes:
+            g = seed[:]
+            for p in order:
+                acc = g[p]
+                for step in steps:
+                    acc += g[p - step]
+                g[p] = acc
+            total += sign * (sum(g[p] for p in ends) - len(ends))
     return total
 
 
-def _sweep_chunk(args: tuple) -> int:
-    sources, radices, strides, blocked_flat = args
-    return sum(_sweep_source(a, radices, strides, blocked_flat) for a in sources)
+def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
+    """Sum of minimal-path counts over unordered pairs of distinct non-faulty nodes.
 
-
-def _miss_paths_dp(
-    shape: MeshShape, blocked: frozenset[Coord], free: Sequence[Coord], workers: int
-) -> int:
-    radices = shape.radices
-    strides = shape.strides()
-    blocked_flat = frozenset(sum(c * s for c, s in zip(v, strides)) for v in blocked)
-    if workers <= 1 or len(free) < 2 * workers:
-        ordered = sum(_sweep_source(a, radices, strides, blocked_flat) for a in free)
-    else:
-        chunks = [
-            (list(free[k::workers]), radices, strides, blocked_flat) for k in range(workers)
-        ]
-        with Pool(workers) as pool:
-            ordered = sum(pool.map(_sweep_chunk, chunks))
-    assert ordered % 2 == 0
-    return ordered // 2
+    Geometry only: paths may run through faulty nodes.
+    """
+    endpoints = _free_nodes(shape, frozenset(fault_nodes))
+    if len(endpoints) < 2:
+        raise ValueError("need at least two non-faulty nodes")
+    return _pair_sum(shape, endpoints, ())
 
 
 def _miss_paths_det(blocked: frozenset[Coord], free: Sequence[Coord]) -> int:
@@ -211,7 +180,6 @@ def miss_paths(
     complex_: FaultComplex,
     engine: Engine = "dp",
     cross_check: CrossCheck = "off",
-    workers: int = 1,
     obstacle: Obstacle = "blocked",
 ) -> int:
     """Sum of obstacle-avoiding path counts over unordered pairs outside the obstacle.
@@ -229,7 +197,7 @@ def miss_paths(
         return 0
 
     if engine == "dp":
-        result = _miss_paths_dp(shape, avoid, free, workers)
+        result = _pair_sum(shape, free, avoid)
     elif engine == "det":
         result = _miss_paths_det(avoid, free)
     else:
@@ -255,7 +223,6 @@ class EngineChoice:
     engine: Engine
     cross_check: CrossCheck
     predicted_det_cost: float
-    budget: float
 
 
 def select_engine(
@@ -263,16 +230,13 @@ def select_engine(
     complex_: FaultComplex,
     policy: EnginePolicy = "auto",
     cross_check: CrossCheck | None = None,
-    budget: float = 2e6,
     obstacle: Obstacle = "blocked",
 ) -> EngineChoice:
-    """Pick the miss-path engine for a scenario.
+    """Pick the miss-path engine for a scenario: "det" on request, "dp" otherwise.
 
-    The determinant engine costs roughly (pairs) * (m + 1)^3 big-integer
-    operations, with m the expected number of obstacle nodes inside a random
-    pair's bounding box. Auto policy takes the determinant engine (with
-    sampled cross-checking) while that estimate stays within budget, and the
-    sweep engine beyond it.
+    predicted_det_cost is reported, not consulted: the determinant engine
+    costs roughly (pairs) * (m + 1)^3 big-integer operations, with m the
+    expected number of obstacle nodes inside a random pair's bounding box.
     """
     avoid = _avoid_set(complex_, obstacle)
     free = shape.node_count - len(avoid)
@@ -283,14 +247,8 @@ def select_engine(
         box_fraction *= expected_span / r
     expected_m = len(avoid) * box_fraction
     det_cost = pairs * (expected_m + 1) ** 3
-
-    if policy == "det":
-        return EngineChoice("det", cross_check or "off", det_cost, budget)
-    if policy == "dp":
-        return EngineChoice("dp", cross_check or "off", det_cost, budget)
-    if det_cost <= budget:
-        return EngineChoice("det", cross_check or "sample", det_cost, budget)
-    return EngineChoice("dp", cross_check or "off", det_cost, budget)
+    engine: Engine = "det" if policy == "det" else "dp"
+    return EngineChoice(engine, cross_check or "off", det_cost)
 
 
 @dataclass(frozen=True)
@@ -318,7 +276,7 @@ def compute_reliability(
     engine: EnginePolicy = "auto",
     cross_check: CrossCheck | None = None,
     workers: int = 1,
-    budget: float = 2e6,
+    budget: float = DEFAULT_BUDGET,
     obstacle: Obstacle = "blocked",
 ) -> ReliabilityResult:
     """Exact probability that a random minimal route confronts the fault ring.
@@ -327,8 +285,15 @@ def compute_reliability(
     included); it "misses" when it dodges that set entirely. Routes are
     weighted uniformly over all minimal paths between unordered pairs of
     distinct non-faulty nodes.
+
+    A scenario whose predicted_cost exceeds budget raises ValueError before
+    any work. workers is accepted and ignored: the exact engine runs in one
+    process, and only the Monte-Carlo estimator uses workers.
     """
-    choice = select_engine(shape, complex_, engine, cross_check, budget, obstacle)
+    cost = predicted_cost(shape)
+    if cost > budget:
+        raise ValueError(f"predicted cost {cost:.3g} exceeds budget {budget:.3g}")
+    choice = select_engine(shape, complex_, engine, cross_check, obstacle)
     denominator = total_paths(shape, complex_.faults)
     if denominator <= 0:
         raise ValueError("no paths between non-faulty nodes; denominator is empty")
@@ -343,9 +308,7 @@ def compute_reliability(
             classification=None,
             obstacle=obstacle,
         )
-    missing = miss_paths(
-        shape, complex_, choice.engine, choice.cross_check, workers, obstacle
-    )
+    missing = miss_paths(shape, complex_, choice.engine, choice.cross_check, obstacle)
     p_miss = Fraction(missing, denominator)
     if not 0 <= p_miss <= 1:
         raise AssertionError(f"miss probability {p_miss} outside [0, 1]")

@@ -6,11 +6,13 @@ A scenario is a single JSON object:
       "mesh": [7, 8, 11],
       "faults": [{"type": "rect", "origin": [2, 2, 2], "extents": [2, 1, 3]}],
       "analysis": {"engine": "auto", "cross_check": "off", "precision": 3,
-                   "obstacle": "blocked", "budget": 2e6},
+                   "obstacle": "blocked", "budget": 1e8},
       "mc": {"samples": 100000, "seed": 0, "workers": 1}
     }
 
-"mesh" is required; the rest are optional with the defaults above. Fault
+"mesh" is required; the rest are optional with the defaults above. The
+budget is a ceiling on the exact engine's predicted cost
+(reliability.predicted_cost); analysis refuses a scenario above it. Fault
 entries may be "rect" (origin + extents), "overlap" (a list of rects under
 "blocks"), or "arbitrary" (explicit "nodes"). Unknown fields anywhere are
 rejected, and every diagnostic names the offending location
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
 
 from faultring.faults import (
     ArbitraryFault,
@@ -32,9 +33,10 @@ from faultring.faults import (
     OverlapFault,
     RectFault,
     build_complex,
+    fault_nodes_of,
 )
 from faultring.mesh import MeshShape
-from faultring.reliability import CrossCheck, EnginePolicy, Obstacle
+from faultring.reliability import DEFAULT_BUDGET, CrossCheck, EnginePolicy, Obstacle
 
 ENGINES = ("det", "dp", "auto")
 CROSS_CHECKS = ("off", "sample", "full")
@@ -56,7 +58,7 @@ class AnalysisOptions:
     cross_check: CrossCheck | None = None
     precision: int = 3
     obstacle: Obstacle = "blocked"
-    budget: float = 2e6
+    budget: float = DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -87,22 +89,11 @@ class ScenarioConfig:
             return OverlapFault(tuple(self.faults))
         nodes: set = set()
         for spec in self.faults:
-            if isinstance(spec, RectFault):
-                nodes |= _rect_nodes(spec)
-            elif isinstance(spec, OverlapFault):
-                for rect in spec.rects:
-                    nodes |= _rect_nodes(rect)
-            else:
-                nodes |= set(spec.nodes)
+            nodes |= fault_nodes_of(self.shape, spec)
         return ArbitraryFault(frozenset(nodes))
 
     def build_complex(self) -> FaultComplex:
         return build_complex(self.shape, self.combined_fault())
-
-
-def _rect_nodes(rect: RectFault) -> set:
-    ranges = [range(o, o + e) for o, e in zip(rect.origin, rect.extents)]
-    return set(product(*ranges))
 
 
 def _require_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
@@ -231,7 +222,7 @@ def _parse_analysis(obj, path: str) -> AnalysisOptions:
         )
     precision = _int_field(obj, "precision", 3, path, minimum=0)
     obstacle = _choice_field(obj, "obstacle", "blocked", path, OBSTACLES)
-    budget = obj.get("budget", 2e6)
+    budget = obj.get("budget", DEFAULT_BUDGET)
     if isinstance(budget, bool) or not isinstance(budget, (int, float)) or budget <= 0:
         raise ScenarioError(f"{path}.budget", f"expected a positive number, got {budget!r}")
     return AnalysisOptions(

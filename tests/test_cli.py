@@ -91,6 +91,13 @@ def test_analyze_bounds_error_exits_2(tmp_path, capsys):
     assert "dimension 0" in err
 
 
+def test_analyze_over_budget_exits_2(tmp_path, capsys):
+    code = cli.main(["analyze", "-s", _write(tmp_path, SMALL), "--budget", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "predicted cost 450 exceeds budget 10" in err
+
+
 def test_analyze_missing_file_exits_2(capsys):
     code = cli.main(["analyze", "-s", "/no/such/file.json"])
     assert code == 2

@@ -11,6 +11,7 @@ from faultring.reliability import (
     compute_reliability,
     format_probability,
     miss_paths,
+    predicted_cost,
     select_engine,
     total_paths,
 )
@@ -55,8 +56,7 @@ def test_miss_paths_engines_and_workers_agree():
         complex_ = build_complex(shape, RectFault(origin, extents))
         via_det = miss_paths(shape, complex_, engine="det")
         via_dp = miss_paths(shape, complex_, engine="dp")
-        via_dp2 = miss_paths(shape, complex_, engine="dp", workers=2)
-        assert via_det == via_dp == via_dp2
+        assert via_det == via_dp
         assert via_dp == _miss_oracle(shape, complex_.blocked)
 
 
@@ -119,19 +119,30 @@ def test_reliability_result_records_obstacle():
 
 
 def test_select_engine_policies():
-    small = MeshShape((4, 4))
-    small_complex = build_complex(small, RectFault((1, 1), (1, 1)))
-    assert select_engine(small, small_complex).engine == "det"
-    assert select_engine(small, small_complex, policy="dp").engine == "dp"
-
     big = MeshShape((10, 10))
     big_complex = build_complex(big, RectFault((3, 3), (4, 4)))
-    assert select_engine(big, big_complex, budget=1e5).engine == "dp"
-    assert select_engine(big, big_complex, budget=1e15).engine == "det"
+    assert select_engine(big, big_complex).engine == "dp"
+    assert select_engine(big, big_complex, policy="auto").engine == "dp"
+    assert select_engine(big, big_complex, policy="dp").engine == "dp"
+    assert select_engine(big, big_complex, policy="det").engine == "det"
     # the bare-fault avoid set is smaller, so its predicted cost is lower
     blocked_cost = select_engine(big, big_complex).predicted_det_cost
     faults_cost = select_engine(big, big_complex, obstacle="faults").predicted_det_cost
     assert faults_cost < blocked_cost
+
+
+def test_predicted_cost_counts_cells_of_both_sums():
+    assert predicted_cost(MeshShape((5, 13, 9))) == 47_385
+    assert predicted_cost(MeshShape((7, 8, 11))) == 49_896
+
+
+def test_budget_below_predicted_cost_raises_before_work():
+    shape = MeshShape((5, 5))
+    complex_ = build_complex(shape, RectFault((1, 1), (1, 2)))
+    cost = predicted_cost(shape)
+    assert compute_reliability(shape, complex_, budget=cost).p_hit > 0
+    with pytest.raises(ValueError, match=r"predicted cost 450 exceeds budget 449"):
+        compute_reliability(shape, complex_, budget=cost - 1)
 
 
 def test_format_probability_half_even_rounding():
