@@ -2,9 +2,10 @@
 
 All behavior is flag-driven; no environment variables are consulted. A
 --budget is a ceiling on the exact engine's predicted cost (see
-reliability.predicted_cost): analyze refuses a scenario above it and table2
-skips the rows above it. Exit codes: 0 success, 2 scenario or usage error
-(an analyze scenario over budget included), 3 validation failure, 4 engine
+reliability.predicted_cost): analyze refuses a scenario above it before
+validating it, and table2 skips the rows above it. Exit codes: 0 success, 2
+scenario or usage error (analyze over budget, or simulate on a scenario whose
+faults hold nearly all path weight), 3 validation failure, 4 engine
 cross-check failure, 5 rows skipped under the table2 budget when
 --skips-as-error is set.
 """
@@ -29,6 +30,7 @@ from faultring.reference import CONVENTION_NOTE, REFERENCE_ROWS
 from faultring.reliability import (
     DEFAULT_BUDGET,
     EngineMismatch,
+    check_budget,
     compute_reliability,
     format_probability,
     predicted_cost,
@@ -54,24 +56,19 @@ EXIT_SKIPPED = 5
 BUDGET_PRESETS = {"low": 2e6, "default": DEFAULT_BUDGET, "high": float("inf")}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than minimum."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return value
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    return parse
 
 
 def _budget_value(text: str) -> float:
@@ -166,18 +163,20 @@ def _print_findings(report: ValidationReport, stream) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _read_scenario(args.scenario)
-    complex_ = config.build_complex()
-    report = validate_complex(config.shape, complex_, config.combined_fault())
-    if not report.ok:
-        _print_findings(report, sys.stderr)
-        return EXIT_VALIDATION
-
     opts = config.analysis
     engine = args.engine or opts.engine
     cross = args.cross_check if args.cross_check is not None else opts.cross_check
     precision = args.precision if args.precision is not None else opts.precision
     obstacle = args.obstacle or opts.obstacle
     budget = args.budget if args.budget is not None else opts.budget
+    # Refuse before validation, whose connectivity search visits every node.
+    check_budget(config.shape, budget)
+
+    complex_ = config.build_complex()
+    report = validate_complex(config.shape, complex_, config.combined_fault())
+    if not report.ok:
+        _print_findings(report, sys.stderr)
+        return EXIT_VALIDATION
 
     start = time.perf_counter()
     try:
@@ -236,10 +235,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": estimate.seed,
         "p_hat": repr(estimate.p_hat),
         "std_error": repr(estimate.std_error),
-        "hit_weight": str(estimate.hit_weight),
-        "total_weight": str(estimate.total_weight),
+        "hits": str(estimate.hit_weight),
         "obstacle": obstacle,
-        "estimator": estimate.estimator,
     }
     _emit([row], args.format, sys.stdout)
     return EXIT_OK
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(analyze, scenario=True)
     analyze.add_argument("--engine", choices=ENGINES, default=None)
     analyze.add_argument("--cross-check", choices=CROSS_CHECKS, default=None, dest="cross_check")
-    analyze.add_argument("--precision", type=_nonneg_int, default=None, metavar="N")
+    analyze.add_argument("--precision", type=_int_at_least(0), default=None, metavar="N")
     analyze.add_argument("--obstacle", choices=OBSTACLES, default=None)
     analyze.add_argument("--budget", type=float, default=None, metavar="OPS",
                          help="refuse scenarios whose predicted cost exceeds this "
@@ -367,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="seeded Monte-Carlo estimate for one scenario")
     _add_common(simulate, scenario=True)
-    simulate.add_argument("--samples", type=_positive_int, default=None, metavar="N")
-    simulate.add_argument("--seed", type=_nonneg_int, default=None, metavar="N")
-    simulate.add_argument("--workers", type=_positive_int, default=None, metavar="N")
+    simulate.add_argument("--samples", type=_int_at_least(1), default=None, metavar="N")
+    simulate.add_argument("--seed", type=_int_at_least(0), default=None, metavar="N")
+    simulate.add_argument("--workers", type=_int_at_least(1), default=None, metavar="N")
     simulate.add_argument("--obstacle", choices=OBSTACLES, default=None)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -382,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip rows whose predicted cost exceeds this "
              "(low/default/high or a number)",
     )
-    table2.add_argument("--precision", type=_nonneg_int, default=None, metavar="N")
+    table2.add_argument("--precision", type=_int_at_least(0), default=None, metavar="N")
     table2.add_argument(
         "--skips-as-error", action="store_true",
         help="exit 5 when any row was skipped under the budget",

@@ -81,26 +81,10 @@ def restriction_points(a: Coord, b: Coord, obstacles: Iterable[Coord]) -> tuple[
     return tuple(sorted(p for p in obs if box.contains(p)))
 
 
-def _det_cofactor(m: list[list[int]]) -> int:
+def determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in matrix]
     size = len(m)
-    if size == 1:
-        return m[0][0]
-    if size == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    sign = 1
-    for col in range(size):
-        if m[0][col]:
-            minor = [row[:col] + row[col + 1:] for row in m[1:]]
-            total += sign * m[0][col] * _det_cofactor(minor)
-        sign = -sign
-    return total
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    # Fraction-free elimination: every division below is exact.
-    size = len(m)
-    m = [row[:] for row in m]
     sign = 1
     prev = 1
     for k in range(size - 1):
@@ -117,18 +101,10 @@ def _det_bareiss(m: list[list[int]]) -> int:
             row_i = m[i]
             row_k = m[k]
             factor = row_i[k]
-            for j in range(k + 1, size):
+            for j in range(k + 1, size):  # every division here is exact
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
         prev = pivot
     return sign * m[-1][-1]
-
-
-def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant; cofactor expansion up to 4x4, Bareiss beyond."""
-    m = [list(row) for row in matrix]
-    if len(m) <= 4:
-        return _det_cofactor(m)
-    return _det_bareiss(m)
 
 
 def avoiding_det(a: Coord, b: Coord, points: Sequence[Coord]) -> int:

@@ -35,17 +35,22 @@ Engine = Literal["det", "dp"]
 EnginePolicy = Literal["auto", "det", "dp"]
 CrossCheck = Literal["off", "sample", "full"]
 Obstacle = Literal["blocked", "faults"]
+ENGINES = ("det", "dp", "auto")
+CROSS_CHECKS = ("off", "sample", "full")
+OBSTACLES = ("blocked", "faults")
 
 _CROSS_CHECK_SAMPLE_LIMIT = 64
 DEFAULT_BUDGET = 1e8
 
 
+def _require_choice(kind: str, value: str, allowed: tuple[str, ...]) -> None:
+    if value not in allowed:
+        raise ValueError(f"unknown {kind} {value!r}; expected one of {', '.join(allowed)}")
+
+
 def _avoid_set(complex_: FaultComplex, obstacle: Obstacle) -> frozenset[Coord]:
-    if obstacle == "blocked":
-        return complex_.blocked
-    if obstacle == "faults":
-        return complex_.faults
-    raise ValueError(f"unknown obstacle {obstacle!r}; expected 'blocked' or 'faults'")
+    _require_choice("obstacle", obstacle, OBSTACLES)
+    return complex_.blocked if obstacle == "blocked" else complex_.faults
 
 
 class EngineMismatch(RuntimeError):
@@ -72,6 +77,13 @@ def predicted_cost(shape: MeshShape) -> int:
     at most n predecessors per node. Every `budget` is a ceiling on this count.
     """
     return 3**shape.n * shape.n * shape.node_count
+
+
+def check_budget(shape: MeshShape, budget: float) -> None:
+    """Raise ValueError when the predicted_cost of the shape exceeds budget."""
+    cost = predicted_cost(shape)
+    if cost > budget:
+        raise ValueError(f"predicted cost {cost:.3g} exceeds budget {budget:.3g}")
 
 
 def _pair_sum(
@@ -189,6 +201,8 @@ def miss_paths(
     every pair) is recomputed on both engines; any disagreement raises
     EngineMismatch naming the offending pair.
     """
+    _require_choice("engine", engine, ("det", "dp"))
+    _require_choice("cross_check", cross_check, CROSS_CHECKS)
     if complex_.is_empty:
         return total_paths(shape)
     avoid = _avoid_set(complex_, obstacle)
@@ -198,10 +212,8 @@ def miss_paths(
 
     if engine == "dp":
         result = _pair_sum(shape, free, avoid)
-    elif engine == "det":
-        result = _miss_paths_det(avoid, free)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        result = _miss_paths_det(avoid, free)
 
     if cross_check != "off":
         checked = 0
@@ -238,6 +250,8 @@ def select_engine(
     costs roughly (pairs) * (m + 1)^3 big-integer operations, with m the
     expected number of obstacle nodes inside a random pair's bounding box.
     """
+    _require_choice("engine", policy, ENGINES)
+    _require_choice("cross_check", cross_check or "off", CROSS_CHECKS)
     avoid = _avoid_set(complex_, obstacle)
     free = shape.node_count - len(avoid)
     pairs = free * (free - 1) / 2
@@ -286,13 +300,12 @@ def compute_reliability(
     weighted uniformly over all minimal paths between unordered pairs of
     distinct non-faulty nodes.
 
-    A scenario whose predicted_cost exceeds budget raises ValueError before
-    any work. workers is accepted and ignored: the exact engine runs in one
-    process, and only the Monte-Carlo estimator uses workers.
+    A scenario whose predicted_cost exceeds budget, or an unknown engine,
+    cross_check or obstacle name, raises ValueError before any work. workers
+    is accepted and ignored: the exact engine runs in one process, and only
+    the Monte-Carlo estimator uses workers.
     """
-    cost = predicted_cost(shape)
-    if cost > budget:
-        raise ValueError(f"predicted cost {cost:.3g} exceeds budget {budget:.3g}")
+    check_budget(shape, budget)
     choice = select_engine(shape, complex_, engine, cross_check, obstacle)
     denominator = total_paths(shape, complex_.faults)
     if denominator <= 0:

@@ -36,11 +36,8 @@ from faultring.faults import (
     fault_nodes_of,
 )
 from faultring.mesh import MeshShape
-from faultring.reliability import DEFAULT_BUDGET, CrossCheck, EnginePolicy, Obstacle
-
-ENGINES = ("det", "dp", "auto")
-CROSS_CHECKS = ("off", "sample", "full")
-OBSTACLES = ("blocked", "faults")
+from faultring.reliability import CROSS_CHECKS, DEFAULT_BUDGET, ENGINES, OBSTACLES
+from faultring.reliability import CrossCheck, EnginePolicy, Obstacle
 
 
 class ScenarioError(ValueError):

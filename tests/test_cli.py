@@ -98,6 +98,16 @@ def test_analyze_over_budget_exits_2(tmp_path, capsys):
     assert "predicted cost 450 exceeds budget 10" in err
 
 
+def test_analyze_over_budget_refuses_before_validation(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("validate_complex ran on an over-budget scenario")
+
+    monkeypatch.setattr(cli, "validate_complex", fail)
+    code = cli.main(["analyze", "-s", _write(tmp_path, SMALL), "--budget", "10"])
+    assert code == 2
+    assert "exceeds budget 10" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_exits_2(capsys):
     code = cli.main(["analyze", "-s", "/no/such/file.json"])
     assert code == 2
@@ -141,6 +151,22 @@ def test_simulate_seed_changes_output(tmp_path, capsys):
     assert cli.main(["simulate", "-s", path, "--seed", "5"]) == 0
     second = capsys.readouterr().out
     assert first != second
+
+
+def test_simulate_json_columns(tmp_path, capsys):
+    assert cli.main(["simulate", "-s", _write(tmp_path, SMALL), "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert list(row) == ["mesh", "samples", "seed", "p_hat", "std_error", "hits", "obstacle"]
+    assert int(row["hits"]) == round(float(row["p_hat"]) * 3000)
+
+
+def test_simulate_refuses_scenario_without_healthy_path_weight(tmp_path, capsys):
+    # Only row 0 of a 40x40 mesh is healthy: about 1 path-weighted pair in
+    # 10^21 has two healthy endpoints.
+    text = '{"mesh":[40,40],"faults":[{"type":"rect","origin":[1,0],"extents":[39,40]}]}'
+    code = cli.main(["simulate", "-s", _write(tmp_path, text), "--samples", "10"])
+    assert code == 2
+    assert "run `analyze`" in capsys.readouterr().err
 
 
 def test_simulate_zero_samples_is_usage_error(tmp_path):

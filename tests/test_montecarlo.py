@@ -1,4 +1,7 @@
+import math
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -6,10 +9,13 @@ from faultring.faults import ArbitraryFault, RectFault, build_complex
 from faultring.mesh import MeshShape
 from faultring.montecarlo import (
     McConfig,
+    _draw_pair,
+    _pair_table,
     compare_with_exact,
     estimate_p_hit,
     sample_minimal_path,
 )
+from faultring.paths import path_count
 
 
 def test_config_validation():
@@ -109,3 +115,46 @@ def test_too_few_sampling_nodes_rejected():
     complex_ = build_complex(shape, three_of_four)
     with pytest.raises(ValueError):
         estimate_p_hit(shape, complex_, McConfig(samples=10, seed=0))
+
+
+def test_pair_draws_follow_path_counts():
+    # Chi-square over every ordered pair of healthy nodes, expected counts in
+    # proportion to the pair's minimal-path count; significance 0.001.
+    shape = MeshShape((3, 4, 2))
+    complex_ = build_complex(shape, ArbitraryFault(frozenset({(0, 0, 0), (1, 2, 1)})))
+    strides = shape.strides()
+    node_at = {sum(c * s for c, s in zip(v, strides)): v for v in shape.nodes()}
+    faulty = frozenset(f for f, v in node_at.items() if v in complex_.faults)
+    table = _pair_table(shape.radices)
+    rng = random.Random(31)
+    draws = 200_000
+    counts = Counter()
+    for _ in range(draws):
+        first, last, _, k, rank = _draw_pair(rng, table, strides, faulty)
+        assert 0 <= rank < path_count(node_at[first], node_at[last]) == table.paths[k]
+        counts[first, last] += 1
+    healthy = [f for f in node_at if f not in faulty]
+    weights = {
+        (a, b): path_count(node_at[a], node_at[b]) for a in healthy for b in healthy if a != b
+    }
+    assert set(counts) <= set(weights)
+    total = sum(weights.values())
+    stat = 0.0
+    for pair, weight in weights.items():
+        expected = draws * weight / total
+        stat += (counts[pair] - expected) ** 2 / expected
+    dof = len(weights) - 1
+    # Wilson-Hilferty approximation of the upper 0.001 quantile.
+    critical = dof * (1 - 2 / (9 * dof) + 3.09 * math.sqrt(2 / (9 * dof))) ** 3
+    assert stat < critical, (stat, critical)
+
+
+def test_scenario_without_healthy_path_weight_is_refused_promptly():
+    # Only row 0 of a 40x40 mesh is healthy: about 1 path-weighted pair in
+    # 10^21 has two healthy endpoints, so sampling would never finish.
+    shape = MeshShape((40, 40))
+    complex_ = build_complex(shape, RectFault((1, 0), (39, 40)))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="run `analyze`"):
+        estimate_p_hit(shape, complex_, McConfig(samples=10, seed=0))
+    assert time.monotonic() - start < 5.0

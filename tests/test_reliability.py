@@ -145,6 +145,22 @@ def test_budget_below_predicted_cost_raises_before_work():
         compute_reliability(shape, complex_, budget=cost - 1)
 
 
+def test_unknown_engine_name_is_rejected():
+    shape = MeshShape((4, 4))
+    complex_ = build_complex(shape, RectFault((1, 1), (1, 1)))
+    with pytest.raises(ValueError, match="unknown engine 'bogus'; expected one of det, dp, auto"):
+        compute_reliability(shape, complex_, engine="bogus")
+
+
+def test_unknown_cross_check_name_is_rejected():
+    shape = MeshShape((4, 4))
+    complex_ = build_complex(shape, RectFault((1, 1), (1, 1)))
+    with pytest.raises(
+        ValueError, match="unknown cross_check 'bogus'; expected one of off, sample, full"
+    ):
+        compute_reliability(shape, complex_, cross_check="bogus")
+
+
 def test_format_probability_half_even_rounding():
     assert format_probability(Fraction(1), 3) == "1.000"
     assert format_probability(Fraction(0), 3) == "0.000"
