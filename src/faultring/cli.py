@@ -56,19 +56,24 @@ EXIT_SKIPPED = 5
 BUDGET_PRESETS = {"low": 2e6, "default": DEFAULT_BUDGET, "high": float("inf")}
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than minimum."""
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
-        return value
 
-    return parse
+def _nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
 
 
 def _budget_value(text: str) -> float:
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(analyze, scenario=True)
     analyze.add_argument("--engine", choices=ENGINES, default=None)
     analyze.add_argument("--cross-check", choices=CROSS_CHECKS, default=None, dest="cross_check")
-    analyze.add_argument("--precision", type=_int_at_least(0), default=None, metavar="N")
+    analyze.add_argument("--precision", type=_nonneg_int, default=None, metavar="N")
     analyze.add_argument("--obstacle", choices=OBSTACLES, default=None)
     analyze.add_argument("--budget", type=float, default=None, metavar="OPS",
                          help="refuse scenarios whose predicted cost exceeds this "
@@ -364,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="seeded Monte-Carlo estimate for one scenario")
     _add_common(simulate, scenario=True)
-    simulate.add_argument("--samples", type=_int_at_least(1), default=None, metavar="N")
-    simulate.add_argument("--seed", type=_int_at_least(0), default=None, metavar="N")
-    simulate.add_argument("--workers", type=_int_at_least(1), default=None, metavar="N")
+    simulate.add_argument("--samples", type=_positive_int, default=None, metavar="N")
+    simulate.add_argument("--seed", type=_nonneg_int, default=None, metavar="N")
+    simulate.add_argument("--workers", type=_positive_int, default=None, metavar="N")
     simulate.add_argument("--obstacle", choices=OBSTACLES, default=None)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip rows whose predicted cost exceeds this "
              "(low/default/high or a number)",
     )
-    table2.add_argument("--precision", type=_int_at_least(0), default=None, metavar="N")
+    table2.add_argument("--precision", type=_nonneg_int, default=None, metavar="N")
     table2.add_argument(
         "--skips-as-error", action="store_true",
         help="exit 5 when any row was skipped under the budget",

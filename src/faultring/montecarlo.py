@@ -8,7 +8,8 @@ region by default, the bare fault region with obstacle="faults"), with the
 binomial standard error. One uniform integer below the path weight of all
 ordered pairs names a path: bisection over cumulative weights picks the
 offset vector, the rest a placement of the pair and the rank of its path.
-A pair with a faulty endpoint is redrawn, at most _MAX_DRAWS times.
+A pair with a faulty endpoint is redrawn; a scenario where that would stall
+is refused up front.
 
 Determinism: sample i seeds its generator from (seed, i), so the estimate is
 bit-identical for a given (seed, samples) regardless of worker count.
@@ -21,9 +22,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from multiprocessing import Pool
-from typing import NamedTuple, Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 from faultring.faults import FaultComplex
 from faultring.mesh import Coord, MeshShape
@@ -31,7 +33,8 @@ from faultring.paths import multinomial
 from faultring.reliability import EnginePolicy, Obstacle, _avoid_set, compute_reliability
 
 _SEED_SPAN = 2**64
-_MAX_DRAWS = 1000
+_PILOT_DRAWS = 100_000
+_PILOT_ACCEPTS = 20
 
 
 @dataclass(frozen=True)
@@ -71,20 +74,13 @@ class McEstimate:
         return self.total_weight
 
 
-def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
-    """Draw a uniformly random minimal path from a to b, inclusive of both.
+def _unrank(remaining: list[int], paths: int, rank: int) -> Iterator[int]:
+    """Yield the axis of each move of the minimal path with the given rank.
 
-    A uniform rank among the minimal paths is unranked move by move: of the
-    `paths` paths left, those whose next move is along axis i take the next
-    paths * remaining[i] / left ranks.
+    Of the `paths` paths left, those whose next move is along axis i take the
+    next paths * remaining[i] / left ranks. Consumes `remaining`.
     """
-    remaining = [abs(y - x) for x, y in zip(a, b)]
-    steps = [1 if y >= x else -1 for x, y in zip(a, b)]
-    paths = multinomial(remaining)
-    rank = rng.randrange(paths)
     left = sum(remaining)
-    cur = list(a)
-    path = [tuple(a)]
     while left:
         for i, count in enumerate(remaining):
             block = paths * count // left
@@ -94,63 +90,76 @@ def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
         paths = block
         remaining[i] -= 1
         left -= 1
+        yield i
+
+
+def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
+    """Draw a uniformly random minimal path from a to b, inclusive of both."""
+    remaining = [abs(y - x) for x, y in zip(a, b)]
+    steps = [1 if y >= x else -1 for x, y in zip(a, b)]
+    paths = multinomial(remaining)
+    cur = list(a)
+    path = [tuple(a)]
+    for i in _unrank(remaining, paths, rng.randrange(paths)):
         cur[i] += steps[i]
         path.append(tuple(cur))
     return path
 
 
-class _PairTable(NamedTuple):
-    offsets: list[tuple[int, ...]]  # absolute offset vectors d != 0
-    paths: list[int]  # multinomial(d): minimal paths between two nodes at offset d
-    spans: list[tuple[int, ...]]  # placements per axis: low corner, and orientation if d_i
-    starts: list[int]  # path weight of the ordered pairs at every earlier offset
-    total: int  # path weight of all ordered pairs of distinct nodes
+def _pair_table(radices: Sequence[int]):
+    """Per absolute offset vector d != 0, in product order: d, multinomial(d),
+    the placements per axis (low corner, and orientation where d_i != 0), and
+    the path weight of the ordered pairs at every earlier offset, then of all."""
+    offsets = list(islice(product(*map(range, radices)), 1, None))
+    paths = [multinomial(d) for d in offsets]
+    spans = [tuple([(r - x) * 2 if x else r for r, x in zip(radices, d)]) for d in offsets]
+    starts = list(accumulate(map(mul, paths, map(math.prod, spans)), initial=0))
+    return offsets, paths, spans, starts
 
 
-def _pair_table(radices: Sequence[int]) -> _PairTable:
-    offsets, paths, spans, starts = [], [], [], []
-    total = 0
-    for d in islice(product(*map(range, radices)), 1, None):
-        span = tuple([(r - x) * 2 if x else r for r, x in zip(radices, d)])
-        count = multinomial(d)
-        offsets.append(d)
-        paths.append(count)
-        spans.append(span)
-        starts.append(total)
-        total += count * math.prod(span)
-    return _PairTable(offsets, paths, spans, starts, total)
+def _draw(rng: random.Random, table, strides: Sequence[int]):
+    """Draw an ordered pair of distinct nodes in proportion to its minimal paths,
+    and one of those paths uniformly: the flat endpoints, the signed flat step
+    along each axis, and the axes of the path's moves, unranked lazily."""
+    offsets, paths, spans, starts = table
+    x = rng.randrange(starts[-1])
+    k = bisect_right(starts, x) - 1
+    place, rank = divmod(x - starts[k], paths[k])
+    first = last = 0
+    moves = []
+    for d, span, stride in zip(offsets[k], spans[k], strides):
+        place, low = divmod(place, span)
+        low, flip = divmod(low, 2) if d else (low, 0)
+        first += (low + d * flip) * stride
+        last += (low + d - d * flip) * stride
+        moves.append(-stride if flip else stride)
+    return first, last, moves, _unrank(list(offsets[k]), paths[k], rank)
 
 
-def _draw_pair(
-    rng: random.Random, table: _PairTable, strides: Sequence[int], faulty: frozenset[int]
-) -> tuple[int, int, list[int], int, int]:
-    """Draw an ordered pair of non-faulty nodes with probability proportional to its paths.
+def _check_sampleable(table, strides: Sequence[int], faulty: frozenset[int]) -> None:
+    """Refuse a scenario whose healthy pairs hold too little of the path weight.
 
-    Returns the flat endpoints, the signed flat step along each axis, the
-    table index k of their offset, and a uniform path rank below paths[k].
+    A fixed-seed pilot must find _PILOT_ACCEPTS pairs with two non-faulty
+    endpoints in _PILOT_DRAWS draws, so the refusal depends on the scenario
+    alone. It is certain below a share of 5e-5, where a sample would need
+    20 000 draws, and never happens above 1e-3.
     """
-    for _ in range(_MAX_DRAWS):
-        x = rng.randrange(table.total)
-        k = bisect_right(table.starts, x) - 1
-        place, rank = divmod(x - table.starts[k], table.paths[k])
-        first = last = 0
-        moves = []
-        for d, span, stride in zip(table.offsets[k], table.spans[k], strides):
-            place, low = divmod(place, span)
-            low, flip = divmod(low, 2) if d else (low, 0)
-            first += (low + d * flip) * stride
-            last += (low + d - d * flip) * stride
-            moves.append(-stride if flip else stride)
-        if first not in faulty and last not in faulty:
-            return first, last, moves, k, rank
+    rng = random.Random(0)
+    accepted = 0
+    for _ in range(_PILOT_DRAWS):
+        first, last, _, _ = _draw(rng, table, strides)
+        accepted += first not in faulty and last not in faulty
+        if accepted == _PILOT_ACCEPTS:
+            return
     raise ValueError(
-        f"no pair of non-faulty nodes in {_MAX_DRAWS} path-weighted draws: the faults "
-        "hold nearly all of the path weight; run `analyze` for the exact value"
+        f"only {accepted} of {_PILOT_DRAWS} path-weighted pair draws have two non-faulty "
+        "endpoints: the faults hold nearly all of the path weight; run `analyze` for the "
+        "exact value"
     )
 
 
 def _tally_range(
-    table: _PairTable,
+    table,
     strides: Sequence[int],
     faulty: frozenset[int],
     avoid: frozenset[int],
@@ -163,24 +172,13 @@ def _tally_range(
     rng = random.Random()
     for index in range(start, stop):
         rng.seed(base + index)
-        cur, last, moves, k, rank = _draw_pair(rng, table, strides, faulty)
+        cur, last, moves, axes = _draw(rng, table, strides)
+        while cur in faulty or last in faulty:
+            cur, last, moves, axes = _draw(rng, table, strides)
         if cur in avoid or last in avoid:
             hits += 1
             continue
-        # sample_minimal_path's unranking loop on flat indices, stopped at the first hit.
-        # As a shared generator it cost 9% of perfbench `mc` wall_s (x86-64, CPython 3.11).
-        remaining = list(table.offsets[k])
-        paths = table.paths[k]
-        left = sum(remaining)
-        while left:
-            for i, count in enumerate(remaining):
-                block = paths * count // left
-                if rank < block:
-                    break
-                rank -= block
-            paths = block
-            remaining[i] -= 1
-            left -= 1
+        for i in axes:
             cur += moves[i]
             if cur in avoid:
                 hits += 1
@@ -197,9 +195,9 @@ def estimate_p_hit(
     """Monte-Carlo estimate of the probability a minimal route confronts the ring.
 
     Raises ValueError when fewer than two non-faulty nodes exist, or when the
-    faults hold so much of the path weight that a sample finds no pair of
-    non-faulty nodes in _MAX_DRAWS draws; the exact engine then is the tool.
-    With no faults at all the estimate is exactly 0.0.
+    faults hold so much of the path weight that redrawing pairs with a faulty
+    endpoint would stall (see _check_sampleable); the exact engine then is
+    the tool. With no faults at all the estimate is exactly 0.0.
     """
     if shape.node_count - len(complex_.faults) < 2:
         raise ValueError("need at least two non-faulty nodes to sample pairs")
@@ -211,6 +209,7 @@ def estimate_p_hit(
     faulty = flats(complex_.faults)
     avoid = flats(_avoid_set(complex_, obstacle))
     table = _pair_table(shape.radices)
+    _check_sampleable(table, strides, faulty)
     workers = min(config.workers, config.samples)
     bounds = [config.samples * k // workers for k in range(workers + 1)]
     jobs = [
@@ -226,7 +225,13 @@ def estimate_p_hit(
     p_hat = hits / samples
     std_error = math.sqrt(p_hat * (1 - p_hat) / (samples - 1)) if samples > 1 else 0.0
     return McEstimate(
-        p_hat, std_error, samples, config.seed, config.workers, hit_weight=hits, total_weight=samples
+        p_hat=p_hat,
+        std_error=std_error,
+        samples=samples,
+        seed=config.seed,
+        workers=config.workers,
+        hit_weight=hits,
+        total_weight=samples,
     )
 
 
@@ -259,4 +264,10 @@ def compare_with_exact(
         sigma = abs_error / estimate.std_error
     else:
         sigma = 0.0 if abs_error == 0 else math.inf
-    return McComparison(exact.p_hit, estimate, abs_error, sigma, ok=sigma <= sigma_limit)
+    return McComparison(
+        exact_p_hit=exact.p_hit,
+        estimate=estimate,
+        abs_error=abs_error,
+        sigma_distance=sigma,
+        ok=sigma <= sigma_limit,
+    )

@@ -9,13 +9,14 @@ from faultring.faults import ArbitraryFault, RectFault, build_complex
 from faultring.mesh import MeshShape
 from faultring.montecarlo import (
     McConfig,
-    _draw_pair,
+    _draw,
     _pair_table,
     compare_with_exact,
     estimate_p_hit,
     sample_minimal_path,
 )
 from faultring.paths import path_count
+from faultring.reliability import compute_reliability
 
 
 def test_config_validation():
@@ -127,17 +128,21 @@ def test_pair_draws_follow_path_counts():
     faulty = frozenset(f for f, v in node_at.items() if v in complex_.faults)
     table = _pair_table(shape.radices)
     rng = random.Random(31)
-    draws = 200_000
     counts = Counter()
-    for _ in range(draws):
-        first, last, _, k, rank = _draw_pair(rng, table, strides, faulty)
-        assert 0 <= rank < path_count(node_at[first], node_at[last]) == table.paths[k]
-        counts[first, last] += 1
+    for _ in range(200_000):
+        first, last, moves, axes = _draw(rng, table, strides)
+        cur = first
+        for i in axes:
+            cur += moves[i]
+        assert cur == last
+        if first not in faulty and last not in faulty:
+            counts[first, last] += 1
     healthy = [f for f in node_at if f not in faulty]
     weights = {
         (a, b): path_count(node_at[a], node_at[b]) for a in healthy for b in healthy if a != b
     }
     assert set(counts) <= set(weights)
+    draws = sum(counts.values())
     total = sum(weights.values())
     stat = 0.0
     for pair, weight in weights.items():
@@ -158,3 +163,18 @@ def test_scenario_without_healthy_path_weight_is_refused_promptly():
     with pytest.raises(ValueError, match="run `analyze`"):
         estimate_p_hit(shape, complex_, McConfig(samples=10, seed=0))
     assert time.monotonic() - start < 5.0
+
+
+def test_refusal_depends_on_the_scenario_not_the_sample_count():
+    # A 7-row slab along one edge of a 40x40 mesh leaves healthy endpoints to
+    # about 0.6% of the path weight: a sample needs some 170 draws, but the
+    # scenario is accepted however many samples are asked for.
+    shape = MeshShape((40, 40))
+    complex_ = build_complex(shape, RectFault((0, 0), (7, 40)))
+    estimate = estimate_p_hit(shape, complex_, McConfig(samples=10_000, seed=0, workers=2))
+    exact = compute_reliability(shape, complex_).p_hit
+    assert abs(estimate.p_hat - float(exact)) <= 4 * estimate.std_error
+    # A 12-row slab (about 0.007%) is refused at a single sample.
+    complex_ = build_complex(shape, RectFault((0, 0), (12, 40)))
+    with pytest.raises(ValueError, match="run `analyze`"):
+        estimate_p_hit(shape, complex_, McConfig(samples=1, seed=0))
