@@ -11,8 +11,11 @@ offset vector, the rest a placement of the pair and the rank of its path.
 A pair with a faulty endpoint is redrawn; a scenario where that would stall
 is refused up front.
 
-Determinism: sample i seeds its generator from (seed, i), so the estimate is
-bit-identical for a given (seed, samples) regardless of worker count.
+Determinism: samples come in fixed blocks of _BLOCK consecutive indices, and
+block b draws all of its samples, in order, from one generator seeded from
+(seed, b). Workers split the index range on block boundaries only, so the
+estimate is bit-identical for a given (seed, samples) regardless of worker
+count, and the first S samples are the same whatever the sample count.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from faultring.paths import multinomial
 from faultring.reliability import EnginePolicy, Obstacle, _avoid_set, compute_reliability
 
 _SEED_SPAN = 2**64
+# One seeding costs about as much as one sample; a block makes it negligible.
+_BLOCK = 1024
 _PILOT_DRAWS = 100_000
 _PILOT_ACCEPTS = 20
 
@@ -117,22 +122,26 @@ def _pair_table(radices: Sequence[int]):
     return offsets, paths, spans, starts
 
 
-def _draw(rng: random.Random, table, strides: Sequence[int]):
+def _draw(rng: random.Random, table, strides: Sequence[int], faulty: frozenset[int] = frozenset()):
     """Draw an ordered pair of distinct nodes in proportion to its minimal paths,
     and one of those paths uniformly: the flat endpoints, the signed flat step
-    along each axis, and the axes of the path's moves, unranked lazily."""
+    along each axis, and the axes of the path's moves, unranked lazily. A pair
+    with an endpoint in `faulty` gives None before its walk is built."""
     offsets, paths, spans, starts = table
     x = rng.randrange(starts[-1])
     k = bisect_right(starts, x) - 1
     place, rank = divmod(x - starts[k], paths[k])
     first = last = 0
-    moves = []
+    flips = []
     for d, span, stride in zip(offsets[k], spans[k], strides):
         place, low = divmod(place, span)
         low, flip = divmod(low, 2) if d else (low, 0)
         first += (low + d * flip) * stride
         last += (low + d - d * flip) * stride
-        moves.append(-stride if flip else stride)
+        flips.append(flip)
+    if first in faulty or last in faulty:
+        return None
+    moves = [-stride if flip else stride for flip, stride in zip(flips, strides)]
     return first, last, moves, _unrank(list(offsets[k]), paths[k], rank)
 
 
@@ -147,8 +156,7 @@ def _check_sampleable(table, strides: Sequence[int], faulty: frozenset[int]) -> 
     rng = random.Random(0)
     accepted = 0
     for _ in range(_PILOT_DRAWS):
-        first, last, _, _ = _draw(rng, table, strides)
-        accepted += first not in faulty and last not in faulty
+        accepted += _draw(rng, table, strides, faulty) is not None
         if accepted == _PILOT_ACCEPTS:
             return
     raise ValueError(
@@ -167,22 +175,23 @@ def _tally_range(
     start: int,
     stop: int,
 ) -> int:
-    base = seed * _SEED_SPAN
+    """Count the hits among samples start to stop - 1; start is a block boundary."""
     hits = 0
-    rng = random.Random()
-    for index in range(start, stop):
-        rng.seed(base + index)
-        cur, last, moves, axes = _draw(rng, table, strides)
-        while cur in faulty or last in faulty:
-            cur, last, moves, axes = _draw(rng, table, strides)
-        if cur in avoid or last in avoid:
-            hits += 1
-            continue
-        for i in axes:
-            cur += moves[i]
-            if cur in avoid:
+    for lo in range(start, stop, _BLOCK):
+        rng = random.Random(seed * _SEED_SPAN + lo // _BLOCK)
+        for _ in range(min(_BLOCK, stop - lo)):
+            drawn = _draw(rng, table, strides, faulty)
+            while drawn is None:
+                drawn = _draw(rng, table, strides, faulty)
+            cur, last, moves, axes = drawn
+            if cur in avoid or last in avoid:
                 hits += 1
-                break
+                continue
+            for i in axes:
+                cur += moves[i]
+                if cur in avoid:
+                    hits += 1
+                    break
     return hits
 
 
@@ -210,8 +219,9 @@ def estimate_p_hit(
     avoid = flats(_avoid_set(complex_, obstacle))
     table = _pair_table(shape.radices)
     _check_sampleable(table, strides, faulty)
-    workers = min(config.workers, config.samples)
-    bounds = [config.samples * k // workers for k in range(workers + 1)]
+    blocks = -(-config.samples // _BLOCK)
+    workers = min(config.workers, blocks)
+    bounds = [min(blocks * k // workers * _BLOCK, config.samples) for k in range(workers + 1)]
     jobs = [
         (table, strides, faulty, avoid, config.seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])
     ]

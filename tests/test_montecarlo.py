@@ -2,12 +2,15 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from faultring import montecarlo
 from faultring.faults import ArbitraryFault, RectFault, build_complex
 from faultring.mesh import MeshShape
 from faultring.montecarlo import (
+    _BLOCK,
     McConfig,
     _draw,
     _pair_table,
@@ -178,3 +181,45 @@ def test_refusal_depends_on_the_scenario_not_the_sample_count():
     complex_ = build_complex(shape, RectFault((0, 0), (12, 40)))
     with pytest.raises(ValueError, match="run `analyze`"):
         estimate_p_hit(shape, complex_, McConfig(samples=1, seed=0))
+
+
+def test_block_boundaries_do_not_leak_into_results(monkeypatch):
+    # Workers split the samples on block boundaries, so every split, more
+    # workers than blocks included, gives the serial estimate; and the first
+    # S samples do not depend on how many follow them.
+    shape = MeshShape((6, 6))
+    complex_ = build_complex(shape, RectFault((2, 2), (2, 1)))
+    hits = {}
+    for samples in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17):
+        serial = estimate_p_hit(shape, complex_, McConfig(samples=samples, seed=9))
+        for workers in (2, 3, 4, 8):
+            split = estimate_p_hit(shape, complex_, McConfig(samples, seed=9, workers=workers))
+            assert replace(split, workers=1) == serial, (samples, workers)
+        hits[samples] = serial.hit_weight
+    assert 0 <= hits[1] <= 1
+    assert 0 <= hits[_BLOCK] - hits[_BLOCK - 1] <= 1
+    assert 0 <= hits[_BLOCK + 1] - hits[_BLOCK] <= 1
+
+    def no_pool(*args):
+        raise AssertionError("a single block needs no worker pool")
+
+    monkeypatch.setattr(montecarlo, "Pool", no_pool)
+    single = estimate_p_hit(shape, complex_, McConfig(samples=_BLOCK, seed=9, workers=8))
+    assert single.hit_weight == hits[_BLOCK]
+
+
+def test_each_block_of_samples_is_seeded_once(monkeypatch):
+    seed = random.Random.seed
+    calls = []
+
+    def counting_seed(self, *args, **kwargs):
+        calls.append(args)
+        return seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counting_seed)
+    shape = MeshShape((6, 6))
+    complex_ = build_complex(shape, RectFault((2, 2), (2, 1)))
+    samples = 2 * _BLOCK + 5
+    estimate_p_hit(shape, complex_, McConfig(samples=samples, seed=3))
+    # One seeding per block, plus the pilot's.
+    assert len(calls) == math.ceil(samples / _BLOCK) + 1
