@@ -56,24 +56,23 @@ EXIT_SKIPPED = 5
 BUDGET_PRESETS = {"low": 2e6, "default": DEFAULT_BUDGET, "high": float("inf")}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(low: int):
+    """An argparse type accepting integers >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+_positive_int = _int_at_least(1)
+_nonneg_int = _int_at_least(0)
 
 
 def _budget_value(text: str) -> float:

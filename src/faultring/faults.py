@@ -102,19 +102,29 @@ def expand_rectangular(shape: MeshShape, origin: Coord, extents: tuple[int, ...]
 
 
 def ring_of(shape: MeshShape, fault_nodes: Iterable[Coord]) -> set[Coord]:
-    """Healthy nodes at Chebyshev distance exactly 1 from the fault set."""
+    """Healthy nodes at Chebyshev distance exactly 1 from the fault set.
+
+    The Chebyshev ball of radius 1 is a product of intervals, so the fault set
+    is dilated one axis at a time: n passes, each adding the +-1 neighbours
+    along one axis that stay inside the mesh, give the whole clipped shell.
+    The passes keep every node inside the mesh unless a fault node lies
+    outside it; then only the in-mesh part of its shell counts.
+    """
     faults = set(fault_nodes)
     if not faults:
         raise ValueError("ring of an empty fault set is undefined")
-    n = shape.n
-    offsets = [off for off in product((-1, 0, 1), repeat=n) if any(off)]
-    shell: set[Coord] = set()
-    for f in faults:
-        for off in offsets:
-            v = tuple(f[i] + off[i] for i in range(n))
-            if shape.contains(v):
-                shell.add(v)
-    return shell - faults
+    ball = set(faults)
+    for i, r in enumerate(shape.radices):
+        ball |= {
+            v[:i] + (x,) + v[i + 1:]
+            for v in ball
+            for x in (v[i] - 1, v[i] + 1)
+            if 0 <= x < r
+        }
+    shell = ball - faults
+    if all(map(shape.contains, faults)):
+        return shell
+    return {v for v in shell if shape.contains(v)}
 
 
 def classify(shape: MeshShape, fault_nodes: Iterable[Coord]) -> Classification:

@@ -8,10 +8,9 @@ are linked when they differ by exactly one in exactly one component.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Coord = tuple[int, ...]
 
@@ -58,6 +57,24 @@ class MeshShape:
         for i in range(self.n - 2, -1, -1):
             out[i] = out[i + 1] * self.radices[i + 1]
         return tuple(out)
+
+    def padded_strides(self) -> tuple[int, ...]:
+        """Row-major strides of the mesh wrapped in a border one cell thick.
+
+        Node v sits at padded_index(v, strides) == sum((x + 1) * s); a step
+        of +-strides[i] moves along axis i and lands on a border cell exactly
+        when it leaves the mesh. The padded layout has
+        strides[0] * (radices[0] + 2) cells.
+        """
+        out = [1] * self.n
+        for i in range(self.n - 2, -1, -1):
+            out[i] = out[i + 1] * (self.radices[i + 1] + 2)
+        return tuple(out)
+
+
+def padded_index(v: Coord, strides: Sequence[int]) -> int:
+    """Flat index of node v in the padded layout of MeshShape.padded_strides."""
+    return sum((x + 1) * s for x, s in zip(v, strides))
 
 
 def require_node(shape: MeshShape, v: Coord, name: str = "node") -> None:
@@ -145,19 +162,32 @@ def bounding_box(a: Coord, b: Coord) -> Box:
 def is_connected(shape: MeshShape, faulty: Iterable[Coord] = ()) -> bool:
     """True when the subgraph on non-faulty nodes is connected.
 
+    A search from the first healthy node in row-major order runs on the
+    padded layout of MeshShape.padded_strides: a move along axis i is
+    +-strides[i], and the border cells start out seen, so no move needs a
+    bounds check. Fault coordinates outside the mesh are ignored.
+
     Raises ValueError if every node is faulty.
     """
-    dead = set(faulty)
-    alive_total = shape.node_count - sum(1 for f in dead if shape.contains(f))
+    strides = shape.padded_strides()
+    dead = {padded_index(v, strides) for v in faulty if shape.contains(v)}
+    alive_total = shape.node_count - len(dead)
     if alive_total <= 0:
         raise ValueError("all nodes are faulty; connectivity is undefined")
-    start = next(v for v in shape.nodes() if v not in dead)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nb in neighbors(shape, cur):
-            if nb not in dead and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == alive_total
+    cells = b"\0"
+    for r, s in zip(reversed(shape.radices), reversed(strides)):
+        cells = b"\1" * s + cells * r + b"\1" * s
+    seen = bytearray(cells)
+    for p in dead:
+        seen[p] = 1
+    start = seen.index(0)
+    seen[start] = 1
+    moves = [m for s in strides for m in (s, -s)]
+    reached = [start]
+    for cur in reached:
+        for m in moves:
+            nb = cur + m
+            if not seen[nb]:
+                seen[nb] = 1
+                reached.append(nb)
+    return len(reached) == alive_total

@@ -28,7 +28,7 @@ from itertools import product
 from typing import Iterable, Literal, Sequence
 
 from faultring.faults import Classification, FaultComplex
-from faultring.mesh import Coord, MeshShape
+from faultring.mesh import Coord, MeshShape, padded_index
 from faultring.paths import avoiding_det, avoiding_dp, restriction_points
 
 Engine = Literal["det", "dp"]
@@ -87,12 +87,13 @@ def check_budget(shape: MeshShape, budget: float) -> None:
 
 
 def _pair_sum(
-    shape: MeshShape, endpoints: Sequence[Coord], forbidden: Iterable[Coord]
+    shape: MeshShape, excluded: Iterable[Coord], forbidden: Iterable[Coord]
 ) -> int:
     """Sum of minimal paths avoiding `forbidden` over unordered pairs of distinct endpoints.
 
-    Endpoints must lie outside `forbidden`. One pass per direction vector d in
-    {+1, -1, 0}^n computes, at every node v,
+    The endpoints are every node outside `excluded`, which must contain
+    `forbidden`; coordinates outside the mesh are ignored. One pass per
+    direction vector d in {+1, -1, 0}^n computes, at every node v,
 
         G(v) = [v not forbidden] * ([v is an endpoint] + sum_{i: d_i != 0} G(v - d_i e_i)),
 
@@ -104,22 +105,32 @@ def _pair_sum(
     exactly once. Reversing a path maps the pass for d onto the pass for -d,
     so the passes whose first non-zero entry is +1 count each unordered pair
     exactly once.
+
+    G lives on the padded layout of MeshShape.padded_strides, whose zero
+    border stands in for missing predecessors. Nodes are flat indices
+    throughout: each visiting order is built by adding the padded offsets of
+    one axis at a time, walked downward on the axes that d orients -1.
     """
     radices = shape.radices
     n = shape.n
-    # A border of zero cells on every side stands in for missing predecessors.
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * (radices[i + 1] + 2)
+    strides = shape.padded_strides()
 
-    def flat(v: Coord) -> int:
-        return sum((x + 1) * s for x, s in zip(v, strides))
+    def flat_set(nodes: Iterable[Coord]) -> set[int]:
+        return {padded_index(v, strides) for v in nodes if shape.contains(v)}
 
-    ends = [flat(v) for v in endpoints]
+    def visiting_order(orientation: tuple[int, ...]) -> list[int]:
+        order = [0]
+        for r, s, o in zip(radices, strides, orientation):
+            xs = range(s, (r + 1) * s, s) if o == 1 else range(r * s, 0, -s)
+            order = [p + x for p in order for x in xs]
+        return order
+
+    skip = flat_set(excluded)
+    blocked = flat_set(forbidden)
+    ends = [p for p in visiting_order((1,) * n) if p not in skip]
     seed = [0] * (strides[0] * (radices[0] + 2))
     for p in ends:
         seed[p] = 1
-    blocked = set(forbidden)
 
     # Passes sharing the orientation of every axis share one visiting order.
     by_orientation: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
@@ -132,8 +143,9 @@ def _pair_sum(
 
     total = 0
     for orientation, passes in by_orientation.items():
-        axes = [range(r) if o == 1 else range(r - 1, -1, -1) for o, r in zip(orientation, radices)]
-        order = [flat(v) for v in product(*axes) if v not in blocked]
+        order = visiting_order(orientation)
+        if blocked:
+            order = [p for p in order if p not in blocked]
         for sign, steps in passes:
             g = seed[:]
             for p in order:
@@ -150,10 +162,10 @@ def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
 
     Geometry only: paths may run through faulty nodes.
     """
-    endpoints = _free_nodes(shape, frozenset(fault_nodes))
-    if len(endpoints) < 2:
+    faults = {v for v in fault_nodes if shape.contains(v)}
+    if shape.node_count - len(faults) < 2:
         raise ValueError("need at least two non-faulty nodes")
-    return _pair_sum(shape, endpoints, ())
+    return _pair_sum(shape, faults, ())
 
 
 def _miss_paths_det(blocked: frozenset[Coord], free: Sequence[Coord]) -> int:
@@ -206,18 +218,14 @@ def miss_paths(
     if complex_.is_empty:
         return total_paths(shape)
     avoid = _avoid_set(complex_, obstacle)
-    free = _free_nodes(shape, avoid)
-    if len(free) < 2:
-        return 0
-
     if engine == "dp":
-        result = _pair_sum(shape, free, avoid)
+        result = _pair_sum(shape, avoid, avoid)
     else:
-        result = _miss_paths_det(avoid, free)
+        result = _miss_paths_det(avoid, _free_nodes(shape, avoid))
 
     if cross_check != "off":
         checked = 0
-        for a, b in _cross_check_pairs(free, cross_check):
+        for a, b in _cross_check_pairs(_free_nodes(shape, avoid), cross_check):
             det_value = avoiding_det(a, b, restriction_points(a, b, avoid))
             dp_value = avoiding_dp(a, b, avoid)
             if det_value != dp_value:

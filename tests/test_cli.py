@@ -176,6 +176,26 @@ def test_simulate_zero_samples_is_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["simulate", "--samples", "0"], "argument --samples: must be >= 1"),
+        (["simulate", "--workers", "0"], "argument --workers: must be >= 1"),
+        (["simulate", "--seed", "-1"], "argument --seed: must be >= 0"),
+        (["analyze", "--precision", "-1"], "argument --precision: must be >= 0"),
+        (["table2", "--precision", "-2"], "argument --precision: must be >= 0"),
+        (["simulate", "--samples", "1.5"], "argument --samples: expected an integer, got '1.5'"),
+        (["analyze", "--precision", "x"], "argument --precision: expected an integer, got 'x'"),
+    ],
+)
+def test_integer_flags_reject_bad_values(tmp_path, capsys, args, message):
+    scenario = ["-s", _write(tmp_path, SMALL)] if args[0] != "table2" else []
+    with pytest.raises(SystemExit) as err:
+        cli.main(args[:1] + scenario + args[1:])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_validate_pass_with_info(tmp_path, capsys):
     code = cli.main(["validate", "-s", _write(tmp_path, ROW1)])
     out = capsys.readouterr().out

@@ -1,14 +1,16 @@
 """Property tests: the all-pairs engine against the per-pair oracles, its
-invariance under the symmetries of the mesh, and the scenario round trip."""
+invariance under the symmetries of the mesh, connectivity and rings against
+their definitions, and the scenario round trip."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from faultring.faults import ArbitraryFault, OverlapFault, RectFault, build_complex
-from faultring.mesh import MeshShape
+from faultring.faults import ArbitraryFault, OverlapFault, RectFault, build_complex, ring_of
+from faultring.mesh import MeshShape, is_connected, neighbors
 from faultring.paths import avoiding_brute, path_count
 from faultring.reliability import (
     CROSS_CHECKS,
@@ -86,6 +88,71 @@ def test_p_hit_is_invariant_under_permutation_and_reflection(scenario, data):
         p_hit = compute_reliability(shape, complex_, obstacle=obstacle).p_hit
         for moved_shape, moved_complex in (permuted, reflected):
             assert compute_reliability(moved_shape, moved_complex, obstacle=obstacle).p_hit == p_hit
+
+
+@st.composite
+def faulty_meshes(draw):
+    """A mesh with n 1..4 and radices 2..5 and a fault set: scattered faults
+    at some density, optionally with node 0, a corner and a full-width wall;
+    or every node but one faulty; or every node faulty."""
+    n = draw(st.integers(1, 4))
+    shape = MeshShape(tuple(draw(st.integers(2, 5)) for _ in range(n)))
+    nodes = list(shape.nodes())
+    kind = draw(st.sampled_from(("scattered", "one-healthy", "all-faulty")))
+    if kind == "one-healthy":
+        return shape, set(nodes) - {draw(st.sampled_from(nodes))}
+    if kind == "all-faulty":
+        return shape, set(nodes)
+    density = draw(st.sampled_from((0.0, 0.05, 0.2, 0.4)))
+    rng = draw(st.randoms(use_true_random=False))
+    faults = {v for v in nodes if rng.random() < density}
+    if draw(st.booleans()):
+        faults.add(nodes[0])
+    if draw(st.booleans()):
+        faults.add(tuple(draw(st.sampled_from((0, r - 1))) for r in shape.radices))
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, n - 1))
+        x = draw(st.integers(0, shape.radices[axis] - 1))
+        faults |= {v for v in nodes if v[axis] == x}
+    return shape, faults
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(faulty_meshes())
+def test_is_connected_matches_neighbour_search(case):
+    shape, faults = case
+    healthy = [v for v in shape.nodes() if v not in faults]
+    # A coordinate just outside the mesh is ignored.
+    outside = faults | {shape.radices}
+    if not healthy:
+        with pytest.raises(ValueError):
+            is_connected(shape, outside)
+        return
+    seen = {healthy[0]}
+    stack = [healthy[0]]
+    while stack:
+        for nb in neighbors(shape, stack.pop()):
+            if nb not in faults and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    assert is_connected(shape, outside) == (len(seen) == len(healthy))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(faulty_meshes())
+def test_ring_is_the_healthy_chebyshev_shell(case):
+    shape, faults = case
+    assume(faults)
+    shell = set()
+    for v in shape.nodes():
+        near = (tuple(x + o for x, o in zip(v, off)) for off in product((-1, 0, 1), repeat=shape.n))
+        if v not in faults and any(u in faults for u in near):
+            shell.add(v)
+    assert ring_of(shape, faults) == shell
+    complex_ = build_complex(shape, ArbitraryFault(frozenset(faults)))
+    assert complex_.faults == faults
+    assert complex_.ring == shell
+    assert complex_.blocked == faults | shell
 
 
 @st.composite

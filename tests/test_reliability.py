@@ -60,6 +60,30 @@ def test_miss_paths_engines_and_workers_agree():
         assert via_dp == _miss_oracle(shape, complex_.blocked)
 
 
+@pytest.mark.parametrize(
+    "radices, origin, extents, total, blocked, faults",
+    [
+        (
+            (12, 12, 12), (4, 4, 4), (3, 3, 3),
+            5952900601191786, 637307347008432, 2694521188107849,
+        ),
+        (
+            (30, 30, 30), (10, 10, 10), (5, 5, 5),
+            136590706815170110830343913193567219404943,
+            52512277714951052108398278427807252233879,
+            84756661768577381900484645358694977018350,
+        ),
+    ],
+)
+def test_dp_engine_pinned_beyond_property_test_sizes(radices, origin, extents, total, blocked, faults):
+    # Literal sums for one central block, too large for the per-pair oracles.
+    shape = MeshShape(radices)
+    complex_ = build_complex(shape, RectFault(origin, extents))
+    assert total_paths(shape, complex_.faults) == total
+    assert miss_paths(shape, complex_, engine="dp", obstacle="blocked") == blocked
+    assert miss_paths(shape, complex_, engine="dp", obstacle="faults") == faults
+
+
 def test_miss_paths_with_fault_obstacle():
     shape = MeshShape((5, 5))
     complex_ = build_complex(shape, RectFault((2, 2), (1, 1)))
