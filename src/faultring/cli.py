@@ -33,7 +33,6 @@ from faultring.reliability import (
     check_budget,
     compute_reliability,
     format_probability,
-    predicted_cost,
 )
 from faultring.scenarios import (
     CROSS_CHECKS,
@@ -76,6 +75,7 @@ _nonneg_int = _int_at_least(0)
 
 
 def _budget_value(text: str) -> float:
+    """An argparse type for --budget: a preset name or a positive number (not NaN)."""
     if text in BUDGET_PRESETS:
         return BUDGET_PRESETS[text]
     try:
@@ -84,7 +84,7 @@ def _budget_value(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected {'/'.join(BUDGET_PRESETS)} or a number, got {text!r}"
         )
-    if value <= 0:
+    if not value > 0:
         raise argparse.ArgumentTypeError("must be positive")
     return value
 
@@ -261,8 +261,9 @@ def cmd_table2(args: argparse.Namespace) -> int:
             "convention": ref.convention,
         }
         shape, complex_ = ref.build()
-        cost = predicted_cost(shape)
-        if cost > args.budget:
+        try:
+            check_budget(shape, args.budget)
+        except ValueError as exc:
             skipped += 1
             rows.append(
                 {
@@ -275,7 +276,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
                     "engine": "",
                     "runtime_s": "",
                     "status": "SKIPPED",
-                    "note": f"predicted cost {cost:.1e} exceeds budget {args.budget:.1e}",
+                    "note": str(exc),
                 }
             )
             continue
@@ -361,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--cross-check", choices=CROSS_CHECKS, default=None, dest="cross_check")
     analyze.add_argument("--precision", type=_nonneg_int, default=None, metavar="N")
     analyze.add_argument("--obstacle", choices=OBSTACLES, default=None)
-    analyze.add_argument("--budget", type=float, default=None, metavar="OPS",
+    analyze.add_argument("--budget", type=_budget_value, default=None, metavar="OPS",
                          help="refuse scenarios whose predicted cost exceeds this "
-                              "(default from scenario)")
+                              "(low/default/high or a number; default from scenario)")
     analyze.set_defaults(func=cmd_analyze)
 
     simulate = sub.add_parser("simulate", help="seeded Monte-Carlo estimate for one scenario")

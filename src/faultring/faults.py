@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from faultring.mesh import Coord, MeshShape, is_connected, require_node
 
@@ -84,20 +84,26 @@ class FaultComplex:
         return not self.faults
 
 
-def expand_rectangular(shape: MeshShape, origin: Coord, extents: tuple[int, ...]) -> set[Coord]:
-    """Node set of a rectangular block; raises if it leaves the mesh."""
+def check_block(shape: MeshShape, origin: Sequence[int], extents: Sequence[int]) -> None:
+    """Raise ValueError unless the block fits the mesh: one coordinate and one
+    extent >= 1 per dimension, and origin[i] .. origin[i] + extents[i] - 1
+    inside 0 .. radices[i] - 1. Each message names the offending dimension."""
     if len(origin) != shape.n or len(extents) != shape.n:
         raise ValueError(
             f"block is {len(origin)}-dimensional but mesh has {shape.n} dimensions"
         )
-    require_node(shape, tuple(origin), "block origin")
     for i, (o, e, r) in enumerate(zip(origin, extents, shape.radices)):
         if e < 1:
             raise ValueError(f"dimension {i}: extent must be >= 1, got {e}")
-        if o + e > r:
+        if o < 0 or o + e > r:
             raise ValueError(
                 f"dimension {i}: block spans {o}..{o + e - 1} but mesh allows 0..{r - 1}"
             )
+
+
+def expand_rectangular(shape: MeshShape, origin: Coord, extents: tuple[int, ...]) -> set[Coord]:
+    """Node set of a rectangular block; raises (see check_block) if it leaves the mesh."""
+    check_block(shape, origin, extents)
     return set(product(*(range(o, o + e) for o, e in zip(origin, extents))))
 
 

@@ -51,13 +51,6 @@ class MeshShape:
         """All nodes in row-major order (last dimension varies fastest)."""
         return product(*(range(r) for r in self.radices))
 
-    def strides(self) -> tuple[int, ...]:
-        """Row-major strides: flat(v) == sum(x * s for x, s in zip(v, strides))."""
-        out = [1] * self.n
-        for i in range(self.n - 2, -1, -1):
-            out[i] = out[i + 1] * self.radices[i + 1]
-        return tuple(out)
-
     def padded_strides(self) -> tuple[int, ...]:
         """Row-major strides of the mesh wrapped in a border one cell thick.
 
@@ -75,6 +68,13 @@ class MeshShape:
 def padded_index(v: Coord, strides: Sequence[int]) -> int:
     """Flat index of node v in the padded layout of MeshShape.padded_strides."""
     return sum((x + 1) * s for x, s in zip(v, strides))
+
+
+def padded_indices(shape: MeshShape, nodes: Iterable[Coord]) -> frozenset[int]:
+    """Padded flat indices of the nodes inside the mesh: the one node numbering
+    of the exact engine, the connectivity search and the Monte-Carlo estimator."""
+    strides = shape.padded_strides()
+    return frozenset(padded_index(v, strides) for v in nodes if shape.contains(v))
 
 
 def require_node(shape: MeshShape, v: Coord, name: str = "node") -> None:
@@ -170,7 +170,7 @@ def is_connected(shape: MeshShape, faulty: Iterable[Coord] = ()) -> bool:
     Raises ValueError if every node is faulty.
     """
     strides = shape.padded_strides()
-    dead = {padded_index(v, strides) for v in faulty if shape.contains(v)}
+    dead = padded_indices(shape, faulty)
     alive_total = shape.node_count - len(dead)
     if alive_total <= 0:
         raise ValueError("all nodes are faulty; connectivity is undefined")

@@ -28,10 +28,10 @@ from fractions import Fraction
 from itertools import accumulate, islice, product
 from multiprocessing import Pool
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from faultring.faults import FaultComplex
-from faultring.mesh import Coord, MeshShape
+from faultring.mesh import Coord, MeshShape, padded_indices
 from faultring.paths import multinomial
 from faultring.reliability import EnginePolicy, Obstacle, _avoid_set, compute_reliability
 
@@ -111,27 +111,31 @@ def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
     return path
 
 
-def _pair_table(radices: Sequence[int]):
+def _pair_table(shape: MeshShape):
     """Per absolute offset vector d != 0, in product order: d, multinomial(d),
     the placements per axis (low corner, and orientation where d_i != 0), and
-    the path weight of the ordered pairs at every earlier offset, then of all."""
+    the path weight of the ordered pairs at every earlier offset, then of all;
+    last, the padded strides of the mesh and the padded index of node 0."""
+    radices = shape.radices
     offsets = list(islice(product(*map(range, radices)), 1, None))
     paths = [multinomial(d) for d in offsets]
     spans = [tuple([(r - x) * 2 if x else r for r, x in zip(radices, d)]) for d in offsets]
     starts = list(accumulate(map(mul, paths, map(math.prod, spans)), initial=0))
-    return offsets, paths, spans, starts
+    strides = shape.padded_strides()
+    return offsets, paths, spans, starts, strides, sum(strides)
 
 
-def _draw(rng: random.Random, table, strides: Sequence[int], faulty: frozenset[int] = frozenset()):
+def _draw(rng: random.Random, table, faulty: frozenset[int] = frozenset()):
     """Draw an ordered pair of distinct nodes in proportion to its minimal paths,
-    and one of those paths uniformly: the flat endpoints, the signed flat step
-    along each axis, and the axes of the path's moves, unranked lazily. A pair
-    with an endpoint in `faulty` gives None before its walk is built."""
-    offsets, paths, spans, starts = table
+    and one of those paths uniformly: the endpoints' padded flat indices (see
+    MeshShape.padded_strides), the signed flat step along each axis, and the
+    axes of the path's moves, unranked lazily. A pair with an endpoint in
+    `faulty` gives None before its walk is built."""
+    offsets, paths, spans, starts, strides, origin = table
     x = rng.randrange(starts[-1])
     k = bisect_right(starts, x) - 1
     place, rank = divmod(x - starts[k], paths[k])
-    first = last = 0
+    first = last = origin
     flips = []
     for d, span, stride in zip(offsets[k], spans[k], strides):
         place, low = divmod(place, span)
@@ -145,7 +149,7 @@ def _draw(rng: random.Random, table, strides: Sequence[int], faulty: frozenset[i
     return first, last, moves, _unrank(list(offsets[k]), paths[k], rank)
 
 
-def _check_sampleable(table, strides: Sequence[int], faulty: frozenset[int]) -> None:
+def _check_sampleable(table, faulty: frozenset[int]) -> None:
     """Refuse a scenario whose healthy pairs hold too little of the path weight.
 
     A fixed-seed pilot must find _PILOT_ACCEPTS pairs with two non-faulty
@@ -156,7 +160,7 @@ def _check_sampleable(table, strides: Sequence[int], faulty: frozenset[int]) -> 
     rng = random.Random(0)
     accepted = 0
     for _ in range(_PILOT_DRAWS):
-        accepted += _draw(rng, table, strides, faulty) is not None
+        accepted += _draw(rng, table, faulty) is not None
         if accepted == _PILOT_ACCEPTS:
             return
     raise ValueError(
@@ -168,7 +172,6 @@ def _check_sampleable(table, strides: Sequence[int], faulty: frozenset[int]) -> 
 
 def _tally_range(
     table,
-    strides: Sequence[int],
     faulty: frozenset[int],
     avoid: frozenset[int],
     seed: int,
@@ -180,9 +183,9 @@ def _tally_range(
     for lo in range(start, stop, _BLOCK):
         rng = random.Random(seed * _SEED_SPAN + lo // _BLOCK)
         for _ in range(min(_BLOCK, stop - lo)):
-            drawn = _draw(rng, table, strides, faulty)
+            drawn = _draw(rng, table, faulty)
             while drawn is None:
-                drawn = _draw(rng, table, strides, faulty)
+                drawn = _draw(rng, table, faulty)
             cur, last, moves, axes = drawn
             if cur in avoid or last in avoid:
                 hits += 1
@@ -207,23 +210,20 @@ def estimate_p_hit(
     faults hold so much of the path weight that redrawing pairs with a faulty
     endpoint would stall (see _check_sampleable); the exact engine then is
     the tool. With no faults at all the estimate is exactly 0.0.
+
+    Nodes are numbered by mesh.padded_indices, as in the exact engine.
     """
     if shape.node_count - len(complex_.faults) < 2:
         raise ValueError("need at least two non-faulty nodes to sample pairs")
-    strides = shape.strides()
-
-    def flats(nodes) -> frozenset[int]:
-        return frozenset(sum(c * s for c, s in zip(v, strides)) for v in nodes)
-
-    faulty = flats(complex_.faults)
-    avoid = flats(_avoid_set(complex_, obstacle))
-    table = _pair_table(shape.radices)
-    _check_sampleable(table, strides, faulty)
+    faulty = padded_indices(shape, complex_.faults)
+    avoid = padded_indices(shape, _avoid_set(complex_, obstacle))
+    table = _pair_table(shape)
+    _check_sampleable(table, faulty)
     blocks = -(-config.samples // _BLOCK)
     workers = min(config.workers, blocks)
     bounds = [min(blocks * k // workers * _BLOCK, config.samples) for k in range(workers + 1)]
     jobs = [
-        (table, strides, faulty, avoid, config.seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])
+        (table, faulty, avoid, config.seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])
     ]
     if workers == 1:
         hits = _tally_range(*jobs[0])

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Literal, Sequence
+from itertools import combinations, islice, product
+from typing import Iterable, Iterator, Literal
 
 from faultring.faults import Classification, FaultComplex
-from faultring.mesh import Coord, MeshShape, padded_index
+from faultring.mesh import Coord, MeshShape, padded_indices
 from faultring.paths import avoiding_det, avoiding_dp, restriction_points
 
 Engine = Literal["det", "dp"]
@@ -66,8 +66,10 @@ class EngineMismatch(RuntimeError):
         )
 
 
-def _free_nodes(shape: MeshShape, blocked: frozenset[Coord]) -> list[Coord]:
-    return [v for v in shape.nodes() if v not in blocked]
+def _free_pairs(shape: MeshShape, avoid: frozenset[Coord]) -> Iterator[tuple[Coord, Coord]]:
+    """Unordered pairs of distinct nodes outside avoid, each node with every later one
+    in row-major order."""
+    return combinations((v for v in shape.nodes() if v not in avoid), 2)
 
 
 def predicted_cost(shape: MeshShape) -> int:
@@ -80,7 +82,10 @@ def predicted_cost(shape: MeshShape) -> int:
 
 
 def check_budget(shape: MeshShape, budget: float) -> None:
-    """Raise ValueError when the predicted_cost of the shape exceeds budget."""
+    """Raise ValueError unless budget is a positive number (NaN is refused, not
+    read as no ceiling) and at least the shape's predicted_cost."""
+    if not budget > 0:
+        raise ValueError(f"budget must be a positive number, got {budget!r}")
     cost = predicted_cost(shape)
     if cost > budget:
         raise ValueError(f"predicted cost {cost:.3g} exceeds budget {budget:.3g}")
@@ -115,9 +120,6 @@ def _pair_sum(
     n = shape.n
     strides = shape.padded_strides()
 
-    def flat_set(nodes: Iterable[Coord]) -> set[int]:
-        return {padded_index(v, strides) for v in nodes if shape.contains(v)}
-
     def visiting_order(orientation: tuple[int, ...]) -> list[int]:
         order = [0]
         for r, s, o in zip(radices, strides, orientation):
@@ -125,8 +127,8 @@ def _pair_sum(
             order = [p + x for p in order for x in xs]
         return order
 
-    skip = flat_set(excluded)
-    blocked = flat_set(forbidden)
+    skip = padded_indices(shape, excluded)
+    blocked = padded_indices(shape, forbidden)
     ends = [p for p in visiting_order((1,) * n) if p not in skip]
     seed = [0] * (strides[0] * (radices[0] + 2))
     for p in ends:
@@ -168,37 +170,6 @@ def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
     return _pair_sum(shape, faults, ())
 
 
-def _miss_paths_det(blocked: frozenset[Coord], free: Sequence[Coord]) -> int:
-    total = 0
-    for i, a in enumerate(free):
-        for b in free[i + 1:]:
-            total += avoiding_det(a, b, restriction_points(a, b, blocked))
-    return total
-
-
-def _unrank_pair(free: Sequence[Coord], rank: int) -> tuple[Coord, Coord]:
-    # Pairs ordered (0,1), (0,2), ..., (1,2), ...; row i holds len(free)-1-i pairs.
-    i = 0
-    row = len(free) - 1
-    while rank >= row:
-        rank -= row
-        i += 1
-        row -= 1
-    return free[i], free[i + 1 + rank]
-
-
-def _cross_check_pairs(free: Sequence[Coord], mode: CrossCheck):
-    total = len(free) * (len(free) - 1) // 2
-    if mode == "full" or total <= _CROSS_CHECK_SAMPLE_LIMIT:
-        for i, a in enumerate(free):
-            for b in free[i + 1:]:
-                yield a, b
-        return
-    step = total // _CROSS_CHECK_SAMPLE_LIMIT
-    for k in range(_CROSS_CHECK_SAMPLE_LIMIT):
-        yield _unrank_pair(free, k * step)
-
-
 def miss_paths(
     shape: MeshShape,
     complex_: FaultComplex,
@@ -211,21 +182,26 @@ def miss_paths(
     The obstacle is FR by default, or F alone with obstacle="faults". With
     cross_check "sample" a deterministic subset of pairs (and with "full"
     every pair) is recomputed on both engines; any disagreement raises
-    EngineMismatch naming the offending pair.
+    EngineMismatch naming the offending pair. The sample is the pairs of
+    rank k * max(1, P // 64), k < 64, among the P pairs of _free_pairs.
     """
     _require_choice("engine", engine, ("det", "dp"))
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
-    if complex_.is_empty:
-        return total_paths(shape)
     avoid = _avoid_set(complex_, obstacle)
     if engine == "dp":
         result = _pair_sum(shape, avoid, avoid)
     else:
-        result = _miss_paths_det(avoid, _free_nodes(shape, avoid))
+        pairs = _free_pairs(shape, avoid)
+        result = sum(avoiding_det(a, b, restriction_points(a, b, avoid)) for a, b in pairs)
 
     if cross_check != "off":
+        pairs = _free_pairs(shape, avoid)
+        if cross_check == "sample":
+            free = shape.node_count - sum(map(shape.contains, avoid))
+            step = max(1, free * (free - 1) // 2 // _CROSS_CHECK_SAMPLE_LIMIT)
+            pairs = islice(pairs, 0, step * _CROSS_CHECK_SAMPLE_LIMIT, step)
         checked = 0
-        for a, b in _cross_check_pairs(_free_nodes(shape, avoid), cross_check):
+        for a, b in pairs:
             det_value = avoiding_det(a, b, restriction_points(a, b, avoid))
             dp_value = avoiding_dp(a, b, avoid)
             if det_value != dp_value:

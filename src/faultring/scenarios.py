@@ -24,7 +24,7 @@ block never reaches the analysis layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from faultring.faults import (
     ArbitraryFault,
@@ -33,6 +33,7 @@ from faultring.faults import (
     OverlapFault,
     RectFault,
     build_complex,
+    check_block,
     fault_nodes_of,
 )
 from faultring.mesh import MeshShape
@@ -134,20 +135,6 @@ def _choice_field(obj: dict, key: str, default: str, path: str, choices: tuple[s
     return value
 
 
-def _check_rect_bounds(shape: MeshShape, origin: list[int], extents: list[int], path: str) -> None:
-    if len(origin) != shape.n:
-        raise ScenarioError(f"{path}.origin", f"expected {shape.n} coordinates, got {len(origin)}")
-    if len(extents) != shape.n:
-        raise ScenarioError(
-            f"{path}.extents", f"expected {shape.n} extents, got {len(extents)}"
-        )
-    for i, (o, e, r) in enumerate(zip(origin, extents, shape.radices)):
-        if o < 0 or o + e > r:
-            raise ScenarioError(
-                path, f"dimension {i}: block spans {o}..{o + e - 1} but mesh allows 0..{r - 1}"
-            )
-
-
 def _parse_rect(obj: dict, shape: MeshShape, path: str) -> RectFault:
     _require_keys(obj, ("type", "origin", "extents"), path)
     if "origin" not in obj:
@@ -156,7 +143,16 @@ def _parse_rect(obj: dict, shape: MeshShape, path: str) -> RectFault:
         raise ScenarioError(path, "missing field 'extents'")
     origin = _int_list(obj["origin"], f"{path}.origin", minimum=0)
     extents = _int_list(obj["extents"], f"{path}.extents", minimum=1)
-    _check_rect_bounds(shape, origin, extents, path)
+    if len(origin) != shape.n:
+        raise ScenarioError(f"{path}.origin", f"expected {shape.n} coordinates, got {len(origin)}")
+    if len(extents) != shape.n:
+        raise ScenarioError(
+            f"{path}.extents", f"expected {shape.n} extents, got {len(extents)}"
+        )
+    try:
+        check_block(shape, origin, extents)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from exc
     return RectFault(tuple(origin), tuple(extents))
 
 
@@ -220,7 +216,7 @@ def _parse_analysis(obj, path: str) -> AnalysisOptions:
     precision = _int_field(obj, "precision", 3, path, minimum=0)
     obstacle = _choice_field(obj, "obstacle", "blocked", path, OBSTACLES)
     budget = obj.get("budget", DEFAULT_BUDGET)
-    if isinstance(budget, bool) or not isinstance(budget, (int, float)) or budget <= 0:
+    if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget > 0:
         raise ScenarioError(f"{path}.budget", f"expected a positive number, got {budget!r}")
     return AnalysisOptions(
         engine=engine, cross_check=cross, precision=precision,
@@ -288,21 +284,7 @@ def serialize_scenario(config: ScenarioConfig) -> str:
     payload = {
         "mesh": list(config.shape.radices),
         "faults": faults,
-        "analysis": {
-            "engine": config.analysis.engine,
-            "precision": config.analysis.precision,
-            "obstacle": config.analysis.obstacle,
-            "budget": config.analysis.budget,
-            **(
-                {"cross_check": config.analysis.cross_check}
-                if config.analysis.cross_check is not None
-                else {}
-            ),
-        },
-        "mc": {
-            "samples": config.mc.samples,
-            "seed": config.mc.seed,
-            "workers": config.mc.workers,
-        },
+        "analysis": {k: v for k, v in asdict(config.analysis).items() if v is not None},
+        "mc": asdict(config.mc),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -196,6 +196,18 @@ def test_integer_flags_reject_bad_values(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["analyze", "--budget", "nan"], ["analyze", "--budget", "-1"], ["table2", "--budget", "nan"]],
+)
+def test_budget_flags_refuse_nan_and_non_positive_values(tmp_path, capsys, args):
+    scenario = ["-s", _write(tmp_path, SMALL)] if args[0] == "analyze" else []
+    with pytest.raises(SystemExit) as err:
+        cli.main(args[:1] + scenario + args[1:])
+    assert err.value.code == 2
+    assert "argument --budget: must be positive" in capsys.readouterr().err
+
+
 def test_validate_pass_with_info(tmp_path, capsys):
     code = cli.main(["validate", "-s", _write(tmp_path, ROW1)])
     out = capsys.readouterr().out

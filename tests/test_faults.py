@@ -35,6 +35,10 @@ def test_expand_rectangular_names_dimension_on_overflow():
         expand_rectangular(shape, (0, 0, 0), (9, 1, 1))
     with pytest.raises(ValueError, match="dimension 2"):
         expand_rectangular(shape, (0, 0, 10), (1, 1, 2))
+    with pytest.raises(ValueError, match=r"dimension 1: block spans -1\.\.0 but mesh allows"):
+        expand_rectangular(shape, (0, -1, 0), (1, 2, 1))
+    with pytest.raises(ValueError, match=r"dimension 0: block spans 7\.\.7 but mesh allows"):
+        expand_rectangular(shape, (7, 0, 0), (1, 1, 1))
 
 
 def test_ring_is_chebyshev_shell():

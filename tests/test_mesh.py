@@ -32,15 +32,6 @@ def test_node_count_and_enumeration_order():
     assert nodes[-1] == (1, 2)
 
 
-def test_strides_match_enumeration():
-    shape = MeshShape((3, 4, 5))
-    strides = shape.strides()
-    nodes = list(shape.nodes())
-    for flat in (0, 7, 33, 59):
-        v = nodes[flat]
-        assert sum(c * s for c, s in zip(v, strides)) == flat
-
-
 def test_contains_and_boundary():
     shape = MeshShape((3, 3))
     assert shape.contains((0, 2))

@@ -8,7 +8,7 @@ import pytest
 
 from faultring import montecarlo
 from faultring.faults import ArbitraryFault, RectFault, build_complex
-from faultring.mesh import MeshShape
+from faultring.mesh import MeshShape, padded_index
 from faultring.montecarlo import (
     _BLOCK,
     McConfig,
@@ -126,14 +126,14 @@ def test_pair_draws_follow_path_counts():
     # proportion to the pair's minimal-path count; significance 0.001.
     shape = MeshShape((3, 4, 2))
     complex_ = build_complex(shape, ArbitraryFault(frozenset({(0, 0, 0), (1, 2, 1)})))
-    strides = shape.strides()
-    node_at = {sum(c * s for c, s in zip(v, strides)): v for v in shape.nodes()}
+    strides = shape.padded_strides()
+    node_at = {padded_index(v, strides): v for v in shape.nodes()}
     faulty = frozenset(f for f, v in node_at.items() if v in complex_.faults)
-    table = _pair_table(shape.radices)
+    table = _pair_table(shape)
     rng = random.Random(31)
     counts = Counter()
     for _ in range(200_000):
-        first, last, moves, axes = _draw(rng, table, strides)
+        first, last, moves, axes = _draw(rng, table)
         cur = first
         for i in axes:
             cur += moves[i]

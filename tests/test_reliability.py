@@ -4,10 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from faultring import reliability
 from faultring.faults import ArbitraryFault, RectFault, build_complex
 from faultring.mesh import MeshShape
 from faultring.paths import avoiding_dp, path_count
 from faultring.reliability import (
+    check_budget,
     compute_reliability,
     format_probability,
     miss_paths,
@@ -107,6 +109,37 @@ def test_cross_check_full_passes_on_clean_engines():
     assert via_det == via_dp
 
 
+def _record_cross_checked_pairs(monkeypatch) -> list:
+    seen = []
+
+    def recording_dp(a, b, forbidden):
+        seen.append((a, b))
+        return avoiding_dp(a, b, forbidden)
+
+    monkeypatch.setattr(reliability, "avoiding_dp", recording_dp)
+    return seen
+
+
+def test_sampled_cross_check_visits_pinned_pairs(monkeypatch):
+    # Literal values computed before the per-pair engines shared one pair order.
+    shape = MeshShape((6, 7))
+    complex_ = build_complex(shape, RectFault((2, 2), (2, 1)))
+    seen = _record_cross_checked_pairs(monkeypatch)
+    assert miss_paths(shape, complex_, "dp", cross_check="sample") == 1254
+    assert len(seen) == 64
+    assert seen[:2] == [((0, 0), (0, 1)), ((0, 0), (1, 0))]
+    assert seen[-1] == ((3, 6), (5, 5))
+
+
+def test_per_pair_engines_run_on_the_fault_free_complex(monkeypatch):
+    shape = MeshShape((6, 7))
+    clean = build_complex(shape, None)
+    assert miss_paths(shape, clean, engine="det") == total_paths(shape) == 12441
+    seen = _record_cross_checked_pairs(monkeypatch)
+    assert miss_paths(shape, clean, engine="dp", cross_check="full") == 12441
+    assert len(seen) == 42 * 41 // 2
+
+
 def test_reliability_identities():
     shape = MeshShape((5, 5))
     complex_ = build_complex(shape, RectFault((1, 1), (2, 1)))
@@ -167,6 +200,12 @@ def test_budget_below_predicted_cost_raises_before_work():
     assert compute_reliability(shape, complex_, budget=cost).p_hit > 0
     with pytest.raises(ValueError, match=r"predicted cost 450 exceeds budget 449"):
         compute_reliability(shape, complex_, budget=cost - 1)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 0, -1])
+def test_check_budget_refuses_nan_and_non_positive_budgets(budget):
+    with pytest.raises(ValueError, match="budget must be a positive number"):
+        check_budget(MeshShape((5, 5)), budget)
 
 
 def test_unknown_engine_name_is_rejected():

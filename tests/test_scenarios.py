@@ -93,6 +93,12 @@ def test_bad_option_values_rejected():
             parse_scenario(text)
 
 
+def test_nan_budget_is_refused_at_its_field():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario('{"mesh":[4,4],"analysis":{"budget":NaN}}')
+    assert err.value.path == "analysis.budget"
+
+
 def test_combined_fault_rules():
     one = parse_scenario(ROW2)
     assert isinstance(one.combined_fault(), RectFault)
