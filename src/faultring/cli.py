@@ -17,15 +17,18 @@ import csv
 import json
 import sys
 import time
+from dataclasses import fields, replace
 
 from faultring.faults import (
     FaultComplex,
+    FaultSpec,
     OverlapFault,
     RectFault,
     ValidationReport,
+    build_complex,
     validate_complex,
 )
-from faultring.montecarlo import McConfig, estimate_p_hit
+from faultring.montecarlo import estimate_p_hit
 from faultring.reference import CONVENTION_NOTE, REFERENCE_ROWS
 from faultring.reliability import (
     DEFAULT_BUDGET,
@@ -38,6 +41,7 @@ from faultring.scenarios import (
     CROSS_CHECKS,
     ENGINES,
     OBSTACLES,
+    AnalysisOptions,
     ScenarioConfig,
     ScenarioError,
     parse_scenario,
@@ -89,11 +93,27 @@ def _budget_value(text: str) -> float:
     return value
 
 
-def _read_scenario(path: str) -> ScenarioConfig:
-    if path == "-":
-        return parse_scenario(sys.stdin.read())
-    with open(path, encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+def _read_scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario args.scenario names ('-' reads stdin), each field of its analysis
+    and mc records replaced by the flag of the same name when that flag is given."""
+    if args.scenario == "-":
+        config = parse_scenario(sys.stdin.read())
+    else:
+        with open(args.scenario, encoding="utf-8") as handle:
+            config = parse_scenario(handle.read())
+
+    def override(record):
+        given = {f.name: getattr(args, f.name, None) for f in fields(record)}
+        return replace(record, **{k: v for k, v in given.items() if v is not None})
+
+    return replace(config, analysis=override(config.analysis), mc=override(config.mc))
+
+
+def _validated(config: ScenarioConfig):
+    """The scenario's combined fault spec, its fault complex, and their validation report."""
+    spec = config.combined_fault()
+    complex_ = build_complex(config.shape, spec)
+    return spec, complex_, validate_complex(config.shape, complex_, spec)
 
 
 def _print_table(rows: list[dict], stream) -> None:
@@ -138,12 +158,11 @@ def _emit(rows: list[dict], fmt: str, stream, footer: list[str] | None = None) -
         stream.write(line + "\n")
 
 
-def _fault_descriptor(config: ScenarioConfig, complex_: FaultComplex) -> tuple[str, str]:
+def _fault_descriptor(spec: FaultSpec | None, complex_: FaultComplex) -> tuple[str, str]:
     """Origin (minimum corner) and a compact shape label for the fault set."""
-    spec = config.combined_fault()
     if spec is None or not complex_.faults:
         return "", "none"
-    lo = tuple(min(v[i] for v in complex_.faults) for i in range(config.shape.n))
+    lo = tuple(map(min, zip(*complex_.faults)))
     origin = "(" + ",".join(map(str, lo)) + ")"
     if isinstance(spec, RectFault):
         return origin, "x".join(map(str, spec.extents))
@@ -166,18 +185,12 @@ def _print_findings(report: ValidationReport, stream) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _read_scenario(args.scenario)
+    config = _read_scenario(args)
     opts = config.analysis
-    engine = args.engine or opts.engine
-    cross = args.cross_check if args.cross_check is not None else opts.cross_check
-    precision = args.precision if args.precision is not None else opts.precision
-    obstacle = args.obstacle or opts.obstacle
-    budget = args.budget if args.budget is not None else opts.budget
     # Refuse before validation, whose connectivity search visits every node.
-    check_budget(config.shape, budget)
+    check_budget(config.shape, opts.budget)
 
-    complex_ = config.build_complex()
-    report = validate_complex(config.shape, complex_, config.combined_fault())
+    spec, complex_, report = _validated(config)
     if not report.ok:
         _print_findings(report, sys.stderr)
         return EXIT_VALIDATION
@@ -187,24 +200,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         result = compute_reliability(
             config.shape,
             complex_,
-            engine=engine,
-            cross_check=cross,
-            budget=budget,
-            obstacle=obstacle,
+            engine=opts.engine,
+            cross_check=opts.cross_check,
+            budget=opts.budget,
+            obstacle=opts.obstacle,
         )
     except EngineMismatch as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
     runtime = time.perf_counter() - start
 
-    origin, fault_shape = _fault_descriptor(config, complex_)
+    origin, fault_shape = _fault_descriptor(spec, complex_)
     row = {
         "mesh": "x".join(map(str, config.shape.radices)),
         "classification": result.classification.value if result.classification else "none",
         "origin": origin,
         "fault_shape": fault_shape,
-        "p_hit": format_probability(result.p_hit, precision),
-        "p_miss": format_probability(result.p_miss, precision),
+        "p_hit": format_probability(result.p_hit, opts.precision),
+        "p_miss": format_probability(result.p_miss, opts.precision),
         "p_hit_exact": str(result.p_hit),
         "p_miss_exact": str(result.p_miss),
         "engine": result.engine,
@@ -217,21 +230,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _read_scenario(args.scenario)
-    complex_ = config.build_complex()
-    report = validate_complex(config.shape, complex_, config.combined_fault())
+    config = _read_scenario(args)
+    _, complex_, report = _validated(config)
     if not report.ok:
         _print_findings(report, sys.stderr)
         return EXIT_VALIDATION
 
-    samples = args.samples if args.samples is not None else config.mc.samples
-    seed = args.seed if args.seed is not None else config.mc.seed
-    workers = args.workers if args.workers is not None else config.mc.workers
-    obstacle = args.obstacle or config.analysis.obstacle
-
-    estimate = estimate_p_hit(
-        config.shape, complex_, McConfig(samples=samples, seed=seed, workers=workers), obstacle
-    )
+    obstacle = config.analysis.obstacle
+    estimate = estimate_p_hit(config.shape, complex_, config.mc, obstacle)
     # No runtime or worker columns: output is byte-identical per (seed, samples).
     row = {
         "mesh": "x".join(map(str, config.shape.radices)),
@@ -247,7 +253,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    precision = args.precision if args.precision is not None else 3
     rows: list[dict] = []
     skipped = 0
     for ref in REFERENCE_ROWS:
@@ -294,9 +299,9 @@ def cmd_table2(args: argparse.Namespace) -> int:
             {
                 **base,
                 "computed_label": computed_label,
-                "p_hit_blocked": format_probability(blocked.p_hit, precision),
-                "p_hit_faults": format_probability(faults.p_hit, precision),
-                "computed": format_probability(own.p_hit, precision),
+                "p_hit_blocked": format_probability(blocked.p_hit, args.precision),
+                "p_hit_faults": format_probability(faults.p_hit, args.precision),
+                "computed": format_probability(own.p_hit, args.precision),
                 "abs_diff": f"{diff:.4f}",
                 "engine": blocked.engine,
                 "runtime_s": round(runtime, 2),
@@ -316,9 +321,8 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    config = _read_scenario(args.scenario)
-    complex_ = config.build_complex()
-    report = validate_complex(config.shape, complex_, config.combined_fault())
+    config = _read_scenario(args)
+    *_, report = _validated(config)
     verdict = "PASS" if report.ok else "FAIL"
     if args.format == "json":
         payload = {
@@ -384,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip rows whose predicted cost exceeds this "
              "(low/default/high or a number)",
     )
-    table2.add_argument("--precision", type=_nonneg_int, default=None, metavar="N")
+    table2.add_argument("--precision", type=_nonneg_int, metavar="N",
+                        default=AnalysisOptions.precision)
     table2.add_argument(
         "--skips-as-error", action="store_true",
         help="exit 5 when any row was skipped under the budget",

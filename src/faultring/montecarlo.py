@@ -44,7 +44,9 @@ _PILOT_ACCEPTS = 20
 
 @dataclass(frozen=True)
 class McConfig:
-    samples: int
+    """Estimator settings, and a scenario's "mc" record: its defaults are these."""
+
+    samples: int = 100_000
     seed: int = 0
     workers: int = 1
 

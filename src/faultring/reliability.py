@@ -184,33 +184,36 @@ def miss_paths(
     every pair) is recomputed on both engines; any disagreement raises
     EngineMismatch naming the offending pair. The sample is the pairs of
     rank k * max(1, P // 64), k < 64, among the P pairs of _free_pairs.
+    Under det, "full" returns the recount: each determinant is evaluated once.
     """
     _require_choice("engine", engine, ("det", "dp"))
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
     avoid = _avoid_set(complex_, obstacle)
-    if engine == "dp":
-        result = _pair_sum(shape, avoid, avoid)
-    else:
-        pairs = _free_pairs(shape, avoid)
-        result = sum(avoiding_det(a, b, restriction_points(a, b, avoid)) for a, b in pairs)
-
+    checked = 0
     if cross_check != "off":
         pairs = _free_pairs(shape, avoid)
         if cross_check == "sample":
             free = shape.node_count - sum(map(shape.contains, avoid))
             step = max(1, free * (free - 1) // 2 // _CROSS_CHECK_SAMPLE_LIMIT)
             pairs = islice(pairs, 0, step * _CROSS_CHECK_SAMPLE_LIMIT, step)
-        checked = 0
         for a, b in pairs:
             det_value = avoiding_det(a, b, restriction_points(a, b, avoid))
             dp_value = avoiding_dp(a, b, avoid)
             if det_value != dp_value:
                 raise EngineMismatch((a, b), det_value, dp_value)
             checked += dp_value
-        if cross_check == "full" and checked != result:
-            raise RuntimeError(
-                f"aggregate disagrees with per-pair recount: {result} vs {checked}"
-            )
+
+    if engine == "dp":
+        result = _pair_sum(shape, avoid, avoid)
+    elif cross_check == "full":
+        result = checked  # the recount has summed every pair, det and dp agreeing
+    else:
+        pairs = _free_pairs(shape, avoid)
+        result = sum(avoiding_det(a, b, restriction_points(a, b, avoid)) for a, b in pairs)
+    if cross_check == "full" and checked != result:
+        raise RuntimeError(
+            f"aggregate disagrees with per-pair recount: {result} vs {checked}"
+        )
     return result
 
 

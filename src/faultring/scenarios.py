@@ -10,11 +10,13 @@ A scenario is a single JSON object:
       "mc": {"samples": 100000, "seed": 0, "workers": 1}
     }
 
-"mesh" is required; the rest are optional with the defaults above. The
-budget is a ceiling on the exact engine's predicted cost
-(reliability.predicted_cost); analysis refuses a scenario above it. Fault
-entries may be "rect" (origin + extents), "overlap" (a list of rects under
-"blocks"), or "arbitrary" (explicit "nodes"). Unknown fields anywhere are
+"mesh" is required. A field left out takes the default shown above, which
+only its record declares: AnalysisOptions for "analysis", montecarlo.McConfig
+for "mc". The budget is a ceiling on the exact engine's predicted cost
+(reliability.predicted_cost); analysis refuses a scenario above it, and an
+integer budget beyond the float range reads as inf. Fault entries may be
+"rect" (origin + extents), "overlap" (a list of rects under "blocks"), or
+"arbitrary" (explicit "nodes"). Unknown fields anywhere are
 rejected, and every diagnostic names the offending location
 ("faults[0].extents" and the like) so errors in generated files are
 traceable. Bounds are checked here, against the declared mesh, so a bad
@@ -24,6 +26,8 @@ block never reaches the analysis layer.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 from faultring.faults import (
@@ -37,6 +41,7 @@ from faultring.faults import (
     fault_nodes_of,
 )
 from faultring.mesh import MeshShape
+from faultring.montecarlo import McConfig
 from faultring.reliability import CROSS_CHECKS, DEFAULT_BUDGET, ENGINES, OBSTACLES
 from faultring.reliability import CrossCheck, EnginePolicy, Obstacle
 
@@ -59,11 +64,7 @@ class AnalysisOptions:
     budget: float = DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
-class McOptions:
-    samples: int = 100_000
-    seed: int = 0
-    workers: int = 1
+McOptions = McConfig
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class ScenarioConfig:
     shape: MeshShape
     faults: tuple[FaultSpec, ...] = ()
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
-    mc: McOptions = field(default_factory=McOptions)
+    mc: McConfig = field(default_factory=McConfig)
 
     def combined_fault(self) -> FaultSpec | None:
         """Collapse the fault list into one specification.
@@ -113,9 +114,7 @@ def _int_list(value, path: str, minimum: int | None = None) -> list[int]:
     return out
 
 
-def _int_field(obj: dict, key: str, default: int, path: str, minimum: int) -> int:
-    if key not in obj:
-        return default
+def _int_field(obj: dict, key: str, path: str, minimum: int) -> int:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}.{key}", f"expected an integer, got {value!r}")
@@ -124,9 +123,7 @@ def _int_field(obj: dict, key: str, default: int, path: str, minimum: int) -> in
     return value
 
 
-def _choice_field(obj: dict, key: str, default: str, path: str, choices: tuple[str, ...]) -> str:
-    if key not in obj:
-        return default
+def _choice_field(obj: dict, key: str, path: str, choices: tuple[str, ...]) -> str:
     value = obj[key]
     if value not in choices:
         raise ScenarioError(
@@ -203,36 +200,38 @@ def _parse_fault(obj, shape: MeshShape, path: str) -> FaultSpec:
     )
 
 
-def _parse_analysis(obj, path: str) -> AnalysisOptions:
+def _given_fields(obj, path: str, readers: dict) -> dict:
+    """The fields obj gives, each read by its reader; the others keep the record's defaults."""
     if not isinstance(obj, dict):
         raise ScenarioError(path, "expected an object")
-    _require_keys(obj, ("engine", "cross_check", "precision", "obstacle", "budget"), path)
-    engine = _choice_field(obj, "engine", "auto", path, ENGINES)
-    cross = obj.get("cross_check")
-    if cross is not None and cross not in CROSS_CHECKS:
-        raise ScenarioError(
-            f"{path}.cross_check", f"expected one of {', '.join(CROSS_CHECKS)}, got {cross!r}"
-        )
-    precision = _int_field(obj, "precision", 3, path, minimum=0)
-    obstacle = _choice_field(obj, "obstacle", "blocked", path, OBSTACLES)
-    budget = obj.get("budget", DEFAULT_BUDGET)
+    _require_keys(obj, tuple(readers), path)
+    return {key: read() for key, read in readers.items() if key in obj}
+
+
+def _budget_field(obj: dict, path: str) -> float:
+    budget = obj["budget"]
     if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget > 0:
         raise ScenarioError(f"{path}.budget", f"expected a positive number, got {budget!r}")
-    return AnalysisOptions(
-        engine=engine, cross_check=cross, precision=precision,
-        obstacle=obstacle, budget=float(budget),
-    )
+    return float(budget) if budget <= sys.float_info.max else math.inf
 
 
-def _parse_mc(obj, path: str) -> McOptions:
-    if not isinstance(obj, dict):
-        raise ScenarioError(path, "expected an object")
-    _require_keys(obj, ("samples", "seed", "workers"), path)
-    return McOptions(
-        samples=_int_field(obj, "samples", 100_000, path, minimum=1),
-        seed=_int_field(obj, "seed", 0, path, minimum=0),
-        workers=_int_field(obj, "workers", 1, path, minimum=1),
-    )
+def _parse_analysis(obj, path: str) -> AnalysisOptions:
+    return AnalysisOptions(**_given_fields(obj, path, {
+        "engine": lambda: _choice_field(obj, "engine", path, ENGINES),
+        "cross_check": lambda: None if obj["cross_check"] is None
+        else _choice_field(obj, "cross_check", path, CROSS_CHECKS),
+        "precision": lambda: _int_field(obj, "precision", path, minimum=0),
+        "obstacle": lambda: _choice_field(obj, "obstacle", path, OBSTACLES),
+        "budget": lambda: _budget_field(obj, path),
+    }))
+
+
+def _parse_mc(obj, path: str) -> McConfig:
+    return McConfig(**_given_fields(obj, path, {
+        "samples": lambda: _int_field(obj, "samples", path, minimum=1),
+        "seed": lambda: _int_field(obj, "seed", path, minimum=0),
+        "workers": lambda: _int_field(obj, "workers", path, minimum=1),
+    }))
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -257,7 +256,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             faults.append(_parse_fault(item, shape, f"faults[{i}]"))
 
     analysis = _parse_analysis(raw["analysis"], "analysis") if "analysis" in raw else AnalysisOptions()
-    mc = _parse_mc(raw["mc"], "mc") if "mc" in raw else McOptions()
+    mc = _parse_mc(raw["mc"], "mc") if "mc" in raw else McConfig()
     return ScenarioConfig(shape=shape, faults=tuple(faults), analysis=analysis, mc=mc)
 
 

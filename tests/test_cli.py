@@ -1,17 +1,27 @@
 import csv
 import io
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
 from faultring import cli
 from faultring.reliability import EngineMismatch
+from faultring.scenarios import parse_scenario
 
 ROW1 = '{"mesh":[3,2,2],"faults":[{"type":"rect","origin":[1,1,0],"extents":[1,1,1]}]}'
 EMPTY = '{"mesh":[4,4]}'
 WALL = '{"mesh":[5,5],"faults":[{"type":"arbitrary","nodes":[[2,0],[2,1],[2,2],[2,3],[2,4]]}]}'
 BAD_BOUNDS = '{"mesh":[7,8,11],"faults":[{"type":"rect","origin":[0,0,0],"extents":[9,1,1]}]}'
 SMALL = '{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2]}],"mc":{"samples":3000,"seed":4}}'
+README = '{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2]}]}'
+# Every analysis and mc field set, each to a value other than its default.
+EVERY_FIELD = (
+    '{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2]}],'
+    '"analysis":{"engine":"det","cross_check":"sample","precision":5,"obstacle":"faults",'
+    '"budget":1e6},"mc":{"samples":2000,"seed":7,"workers":2}}'
+)
 
 
 def _write(tmp_path, text, name="scenario.json"):
@@ -266,3 +276,66 @@ def test_table2_rejects_bad_budget():
     with pytest.raises(SystemExit) as err:
         cli.main(["table2", "--budget", "bogus"])
     assert err.value.code == 2
+
+
+def test_readme_analyze_example(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(README))
+    assert cli.main(["analyze", "-s", "-"]) == 0
+    header, _, row = capsys.readouterr().out.splitlines()
+    assert header.split()[:-1] == [
+        "mesh", "classification", "origin", "fault_shape", "p_hit", "p_miss", "p_hit_exact",
+        "p_miss_exact", "engine", "obstacle", "pair_convention",
+    ]
+    assert row.split()[:-1] == [
+        "5x5", "ring", "(1,1)", "1x2", "0.899", "0.101", "1313/1461", "148/1461", "dp",
+        "blocked", "unordered-distinct",
+    ]
+
+
+def test_readme_simulate_example(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(README))
+    assert cli.main(["simulate", "-s", "-", "--samples", "3000", "--seed", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "mesh  samples  seed  p_hat               std_error            hits  obstacle\n"
+        "----  -------  ----  ------------------  -------------------  ----  --------\n"
+        "5x5   3000     4     0.9023333333333333  0.00542086323528841  2707  blocked\n"
+    )
+
+
+def test_scenario_fields_apply_without_flags(tmp_path, capsys):
+    path = _write(tmp_path, EVERY_FIELD)
+    assert cli.main(["analyze", "-s", path, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["engine"], row["obstacle"], row["p_hit"]) == ("det", "faults", "0.45654")
+    assert cli.main(["simulate", "-s", path, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["samples"], row["seed"], row["obstacle"]) == (2000, 7, "faults")
+    args = cli.build_parser().parse_args(["analyze", "-s", path])
+    assert cli._read_scenario(args) == parse_scenario(EVERY_FIELD)
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, record, field, value",
+    [
+        ("analyze", "--engine", "dp", "analysis", "engine", "dp"),
+        ("analyze", "--cross-check", "off", "analysis", "cross_check", "off"),
+        ("analyze", "--precision", "2", "analysis", "precision", 2),
+        ("analyze", "--obstacle", "blocked", "analysis", "obstacle", "blocked"),
+        ("analyze", "--budget", "low", "analysis", "budget", 2e6),
+        ("simulate", "--samples", "10", "mc", "samples", 10),
+        ("simulate", "--seed", "3", "mc", "seed", 3),
+        ("simulate", "--workers", "1", "mc", "workers", 1),
+        ("simulate", "--obstacle", "blocked", "analysis", "obstacle", "blocked"),
+    ],
+)
+def test_each_flag_overrides_only_its_field(tmp_path, command, flag, text, record, field, value):
+    path = _write(tmp_path, EVERY_FIELD)
+    config = cli._read_scenario(cli.build_parser().parse_args([command, "-s", path, flag, text]))
+    base = parse_scenario(EVERY_FIELD)
+    assert config == replace(base, **{record: replace(getattr(base, record), **{field: value})})
+
+
+def test_analyze_reads_an_integer_budget_beyond_float_range(tmp_path, capsys):
+    text = '{"mesh":[5,5],"analysis":{"budget":1' + "0" * 400 + "}}"
+    assert cli.main(["analyze", "-s", _write(tmp_path, text), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["p_hit"] == "0.000"

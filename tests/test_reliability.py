@@ -7,7 +7,7 @@ import pytest
 from faultring import reliability
 from faultring.faults import ArbitraryFault, RectFault, build_complex
 from faultring.mesh import MeshShape
-from faultring.paths import avoiding_dp, path_count
+from faultring.paths import avoiding_det, avoiding_dp, path_count
 from faultring.reliability import (
     check_budget,
     compute_reliability,
@@ -138,6 +138,22 @@ def test_per_pair_engines_run_on_the_fault_free_complex(monkeypatch):
     seen = _record_cross_checked_pairs(monkeypatch)
     assert miss_paths(shape, clean, engine="dp", cross_check="full") == 12441
     assert len(seen) == 42 * 41 // 2
+
+
+def test_full_cross_check_under_det_evaluates_each_determinant_once(monkeypatch):
+    shape = MeshShape((5, 4, 3))
+    complex_ = build_complex(shape, RectFault((1, 1, 1), (2, 1, 1)))
+    calls = []
+
+    def counting_det(a, b, points):
+        calls.append((a, b))
+        return avoiding_det(a, b, points)
+
+    monkeypatch.setattr(reliability, "avoiding_det", counting_det)
+    value = miss_paths(shape, complex_, engine="det", cross_check="full")
+    free = shape.node_count - len(complex_.blocked)
+    assert len(calls) == free * (free - 1) // 2
+    assert value == miss_paths(shape, complex_, engine="dp")
 
 
 def test_reliability_identities():

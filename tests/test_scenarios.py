@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from faultring.faults import ArbitraryFault, OverlapFault, RectFault
 from faultring.scenarios import (
+    AnalysisOptions,
     ScenarioError,
     parse_scenario,
     serialize_scenario,
@@ -97,6 +99,18 @@ def test_nan_budget_is_refused_at_its_field():
     with pytest.raises(ScenarioError) as err:
         parse_scenario('{"mesh":[4,4],"analysis":{"budget":NaN}}')
     assert err.value.path == "analysis.budget"
+
+
+def test_null_cross_check_reads_as_the_default():
+    config = parse_scenario('{"mesh":[4,4],"analysis":{"engine":"det","cross_check":null}}')
+    assert config.analysis == AnalysisOptions(engine="det")
+    assert config.analysis.cross_check is None
+
+
+def test_integer_budget_beyond_float_range_reads_as_inf():
+    config = parse_scenario('{"mesh":[4,4],"analysis":{"budget":1' + "0" * 400 + "}}")
+    assert config.analysis.budget == math.inf
+    assert config.analysis == parse_scenario('{"mesh":[4,4],"analysis":{"budget":1e400}}').analysis
 
 
 def test_combined_fault_rules():
