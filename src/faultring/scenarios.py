@@ -219,7 +219,7 @@ def _parse_analysis(obj, path: str) -> AnalysisOptions:
     return AnalysisOptions(**_given_fields(obj, path, {
         "engine": lambda: _choice_field(obj, "engine", path, ENGINES),
         "cross_check": lambda: None if obj["cross_check"] is None
-        else _choice_field(obj, "cross_check", path, CROSS_CHECKS),
+                       else _choice_field(obj, "cross_check", path, CROSS_CHECKS),
         "precision": lambda: _int_field(obj, "precision", path, minimum=0),
         "obstacle": lambda: _choice_field(obj, "obstacle", path, OBSTACLES),
         "budget": lambda: _budget_field(obj, path),

@@ -306,6 +306,7 @@ def test_scenario_fields_apply_without_flags(tmp_path, capsys):
     path = _write(tmp_path, EVERY_FIELD)
     assert cli.main(["analyze", "-s", path, "--format", "json"]) == 0
     row = json.loads(capsys.readouterr().out)
+    # 667/1461, the faults-convention value, at the scenario's 5 places.
     assert (row["engine"], row["obstacle"], row["p_hit"]) == ("det", "faults", "0.45654")
     assert cli.main(["simulate", "-s", path, "--format", "json"]) == 0
     row = json.loads(capsys.readouterr().out)
