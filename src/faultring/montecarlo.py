@@ -26,7 +26,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, product
-from multiprocessing import Pool
 from operator import mul
 from typing import Iterator
 
@@ -120,7 +119,21 @@ def _pair_table(shape: MeshShape):
     last, the padded strides of the mesh and the padded index of node 0."""
     radices = shape.radices
     offsets = list(islice(product(*map(range, radices)), 1, None))
-    paths = [multinomial(d) for d in offsets]
+    # multinomial(d) one axis at a time in product order, without the unbounded
+    # memo of paths.multinomial: appending x to a prefix of length l gives
+    # multinomial(prefix, x) = multinomial(prefix, x - 1) * (l + x) / x.
+    paths, lengths = [1], [0]
+    for r in radices:
+        longer, longer_lengths = [], []
+        for m, length in zip(paths, lengths):
+            for x in range(r):
+                if x:
+                    length += 1
+                    m = m * length // x
+                longer.append(m)
+                longer_lengths.append(length)
+        paths, lengths = longer, longer_lengths
+    del paths[0]
     spans = [tuple([(r - x) * 2 if x else r for r, x in zip(radices, d)]) for d in offsets]
     starts = list(accumulate(map(mul, paths, map(math.prod, spans)), initial=0))
     strides = shape.padded_strides()
@@ -230,6 +243,8 @@ def estimate_p_hit(
     if workers == 1:
         hits = _tally_range(*jobs[0])
     else:
+        from multiprocessing import Pool  # imported here: one-process runs need no pool
+
         with Pool(workers) as pool:
             hits = sum(pool.starmap(_tally_range, jobs))
 

@@ -11,7 +11,10 @@ For a mesh with fault region F, ring R, and blocked set FR = F + R:
 
 One all-pairs engine, "dp", computes both sums: a few dynamic-program
 passes over the whole mesh, each counting the paths from every endpoint at
-once (see _pair_sum). "det" evaluates the paper's path determinant per pair
+once (see _pair_sum). Where the fault region is a box, as in every single
+rectangular fault, the denominator is closed-form instead: path weights
+between boxes factor per axis (see _box_weight), so total_paths visits no
+node. "det" evaluates the paper's path determinant per pair
 and serves as the independent oracle for miss_paths. Cross-check modes rerun
 pairs on both per-pair engines and fail loudly on any disagreement.
 
@@ -28,7 +31,7 @@ from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Literal
 
 from faultring.faults import Classification, FaultComplex
-from faultring.mesh import Coord, MeshShape, padded_indices
+from faultring.mesh import Box, Coord, MeshShape, padded_indices
 from faultring.paths import avoiding_det, avoiding_dp, restriction_points
 
 Engine = Literal["det", "dp"]
@@ -77,6 +80,7 @@ def predicted_cost(shape: MeshShape) -> int:
 
     Each sum makes (3^n - 1) / 2 passes over the N nodes, and a pass relaxes
     at most n predecessors per node. Every `budget` is a ceiling on this count.
+    It stays the dp cost of both sums even where total_paths is closed-form.
     """
     return 3**shape.n * shape.n * shape.node_count
 
@@ -159,15 +163,58 @@ def _pair_sum(
     return total
 
 
+def _box_weight(x: Box, y: Box) -> int:
+    """W(x, y): the minimal paths of every ordered pair (a, b) in x * y, that is
+    the sum of multinomial(|a - b|), folded one axis at a time.
+
+    On axis j let c(d) count the pairs of coordinates at distance d. After the
+    axes before j, weights[L] sums the product of the counts times the
+    multinomial over the offset vectors of length L; axis j then adds
+    comb(L + d, d) * c(d) * weights[L] at length L + d. The product
+    comb(L + d, d) * weights[L] grows along d by the exact ratio (L + d) / d.
+    """
+    weights = [1]
+    for xl, xh, yl, yh in zip(x.lo, x.hi, y.lo, y.hi):
+        counts = [0] * (max(abs(yl - xh), abs(yh - xl)) + 1)
+        for t in range(yl - xh, yh - xl + 1):  # b - a = t
+            counts[abs(t)] += min(xh, yh - t) - max(xl, yl - t) + 1
+        folded = [0] * (len(weights) + len(counts) - 1)
+        for length, w in enumerate(weights):
+            for d, c in enumerate(counts):
+                if d:
+                    w = w * (length + d) // d
+                if c:
+                    folded[length + d] += w * c
+        weights = folded
+    return sum(weights)
+
+
 def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
     """Sum of minimal-path counts over unordered pairs of distinct non-faulty nodes.
 
-    Geometry only: paths may run through faulty nodes.
+    Geometry only: paths may run through faulty nodes. Fault coordinates
+    outside the mesh are ignored. When the faults F fill their bounding box
+    (or there are none), with M the mesh, N its size and W as in _box_weight,
+    the sum is closed-form:
+
+        (W(M, M) - 2 W(F, M) + W(F, F) - (N - |F|)) / 2,
+
+    the ordered pairs of healthy nodes, less the pairs of a node with itself,
+    halved. Any other fault set takes _pair_sum's passes over the mesh.
     """
     faults = {v for v in fault_nodes if shape.contains(v)}
-    if shape.node_count - len(faults) < 2:
+    healthy = shape.node_count - len(faults)
+    if healthy < 2:
         raise ValueError("need at least two non-faulty nodes")
-    return _pair_sum(shape, faults, ())
+    mesh = Box((0,) * shape.n, tuple(r - 1 for r in shape.radices))
+    if not faults:
+        return (_box_weight(mesh, mesh) - healthy) // 2
+    axes = list(zip(*faults))
+    box = Box(tuple(map(min, axes)), tuple(map(max, axes)))
+    if box.volume != len(faults):
+        return _pair_sum(shape, faults, ())
+    weight = _box_weight(mesh, mesh) - 2 * _box_weight(box, mesh) + _box_weight(box, box)
+    return (weight - healthy) // 2
 
 
 def miss_paths(

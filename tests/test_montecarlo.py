@@ -1,11 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import faultring
 from faultring import montecarlo
 from faultring.faults import ArbitraryFault, RectFault, build_complex
 from faultring.mesh import MeshShape, padded_index
@@ -18,7 +22,7 @@ from faultring.montecarlo import (
     estimate_p_hit,
     sample_minimal_path,
 )
-from faultring.paths import path_count
+from faultring.paths import _multinomial, multinomial, path_count
 from faultring.reliability import compute_reliability
 
 
@@ -203,7 +207,7 @@ def test_block_boundaries_do_not_leak_into_results(monkeypatch):
     def no_pool(*args):
         raise AssertionError("a single block needs no worker pool")
 
-    monkeypatch.setattr(montecarlo, "Pool", no_pool)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
     single = estimate_p_hit(shape, complex_, McConfig(samples=_BLOCK, seed=9, workers=8))
     assert single.hit_weight == hits[_BLOCK]
 
@@ -223,3 +227,23 @@ def test_each_block_of_samples_is_seeded_once(monkeypatch):
     estimate_p_hit(shape, complex_, McConfig(samples=samples, seed=3))
     # One seeding per block, plus the pilot's.
     assert len(calls) == math.ceil(samples / _BLOCK) + 1
+
+
+def test_pair_table_leaves_the_multinomial_memo_alone():
+    # The table's multinomials come from a recurrence, not from the unbounded
+    # memo of paths.multinomial, which would keep one entry per offset vector.
+    _multinomial.cache_clear()
+    shape = MeshShape((9, 8, 7))
+    complex_ = build_complex(shape, RectFault((3, 3, 3), (2, 2, 2)))
+    estimate_p_hit(shape, complex_, McConfig(samples=200, seed=1))
+    assert _multinomial.cache_info().currsize == 0
+    offsets, paths = _pair_table(MeshShape((4, 3, 5, 2)))[:2]
+    assert paths == [multinomial(d) for d in offsets]
+
+
+def test_importing_the_package_leaves_multiprocessing_out():
+    # The pool module is imported only by an estimate that runs workers.
+    code = "import sys, faultring; assert 'multiprocessing' not in sys.modules, sorted(sys.modules)"
+    src = os.path.dirname(os.path.dirname(faultring.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

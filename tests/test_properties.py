@@ -1,6 +1,7 @@
 """Property tests: the all-pairs engine against the per-pair oracles, its
-invariance under the symmetries of the mesh, connectivity and rings against
-their definitions, and the scenario round trip."""
+invariance under the symmetries of the mesh, the closed-form denominator of
+box faults against the engine, connectivity and rings against their
+definitions, and the scenario round trip."""
 
 import math
 from itertools import combinations, product
@@ -10,12 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faultring.faults import ArbitraryFault, OverlapFault, RectFault, build_complex, ring_of
-from faultring.mesh import MeshShape, is_connected, neighbors
+from faultring.mesh import Box, MeshShape, is_connected, neighbors
 from faultring.paths import avoiding_brute, path_count
 from faultring.reliability import (
     CROSS_CHECKS,
     ENGINES,
     OBSTACLES,
+    _pair_sum,
     compute_reliability,
     miss_paths,
     total_paths,
@@ -88,6 +90,53 @@ def test_p_hit_is_invariant_under_permutation_and_reflection(scenario, data):
         p_hit = compute_reliability(shape, complex_, obstacle=obstacle).p_hit
         for moved_shape, moved_complex in (permuted, reflected):
             assert compute_reliability(moved_shape, moved_complex, obstacle=obstacle).p_hit == p_hit
+
+
+@st.composite
+def box_faults(draw):
+    """A mesh with n 1..4 and radices 2..6 and a box of faults: anywhere, a
+    single node, against the border, full width on some axes, or all but two
+    nodes; or no faults at all. Sometimes with a coordinate outside the mesh."""
+    kind = draw(st.sampled_from(("random", "single", "border", "full-width", "two-left", "empty")))
+    if kind == "two-left":
+        # Only on a line, or as all but one row of a 2 x r mesh, can a box
+        # leave exactly two healthy nodes.
+        r = draw(st.integers(3, 6))
+        shape = MeshShape(draw(st.sampled_from(((r,), (r, 2), (2, r)))))
+        width = r - 2 // shape.n
+        start = draw(st.integers(0, r - width))
+        lo = tuple(start if x == r else 0 for x in shape.radices)
+        hi = tuple(start + width - 1 if x == r else 1 for x in shape.radices)
+    else:
+        shape = MeshShape(tuple(draw(st.integers(2, 6)) for _ in range(draw(st.integers(1, 4)))))
+        lo, hi = [], []
+        for r in shape.radices:
+            if kind == "single":
+                a = b = draw(st.integers(0, r - 1))
+            elif kind == "full-width" and draw(st.booleans()):
+                a, b = 0, r - 1
+            elif kind == "border":
+                a, b = sorted((draw(st.sampled_from((0, r - 1))), draw(st.integers(0, r - 1))))
+            else:
+                a, b = sorted((draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))))
+            lo.append(a)
+            hi.append(b)
+    faults = set() if kind == "empty" else set(Box(tuple(lo), tuple(hi)).nodes())
+    assume(shape.node_count - len(faults) >= 2)
+    if draw(st.booleans()):
+        faults.add(draw(st.sampled_from((shape.radices, (-1,) * shape.n))))
+    return shape, faults
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(box_faults())
+def test_closed_form_denominator_matches_engine(case):
+    shape, faults = case
+    expected = _pair_sum(shape, faults, ())
+    assert total_paths(shape, faults) == expected
+    if shape.node_count <= MAX_NODES:
+        healthy = [v for v in shape.nodes() if v not in faults]
+        assert expected == sum(path_count(a, b) for a, b in combinations(healthy, 2))
 
 
 @st.composite

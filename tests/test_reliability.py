@@ -86,6 +86,20 @@ def test_dp_engine_pinned_beyond_property_test_sizes(radices, origin, extents, t
     assert miss_paths(shape, complex_, engine="dp", obstacle="faults") == faults
 
 
+def test_closed_form_denominator_pinned_on_a_100_cubed_mesh(monkeypatch):
+    # Literal sum from the dp engine (about 6 s); the closed form visits no node.
+    def no_passes(*args):
+        raise AssertionError("a box of faults needs no pass over the mesh")
+
+    monkeypatch.setattr(reliability, "_pair_sum", no_passes)
+    shape = MeshShape((100, 100, 100))
+    complex_ = build_complex(shape, RectFault((40, 40, 40), (5, 5, 5)))
+    assert total_paths(shape, complex_.faults) == int(
+        "63856637732541647623528914513713578017771296315581013249092709296848"
+        "7806887482962860770624926553957622596254697742029424432132377037922287697"
+    )
+
+
 def test_miss_paths_with_fault_obstacle():
     shape = MeshShape((5, 5))
     complex_ = build_complex(shape, RectFault((2, 2), (1, 1)))
