@@ -9,19 +9,14 @@ For a mesh with fault region F, ring R, and blocked set FR = F + R:
 * the miss probability is miss_paths / total_paths as an exact fraction,
   and the hit probability is its complement.
 
-One all-pairs engine, "dp", computes either sum for any node set: a few
-dynamic-program passes over the whole mesh, each counting the paths from
-every endpoint at once (see _pair_sum). Where a set fills a box, as the
-fault region of a single rectangular fault and its blocked set FR (clipped
-to the mesh) do, its sum is closed-form and visits no node. Path weights
-between boxes factor per axis (see _box_weight), which gives the
-denominator; a path that hits a box enters it by exactly one edge, which
-gives the numerator from the box's faces (engine "box", see _box_misses).
-select_engine's "auto" still picks "dp" for every avoid set, so "box" is
-run by naming it to miss_paths. "det" evaluates the paper's path
-determinant per pair; it and "dp" serve as the independent oracles for
-miss_paths. Cross-check modes rerun pairs on both per-pair engines and fail
-loudly on any disagreement.
+One all-pairs engine, "dp", computes both sums: a few dynamic-program
+passes over the whole mesh, each counting the paths from every endpoint at
+once (see _pair_sum). Where the fault region is a box, as in every single
+rectangular fault, the denominator is closed-form instead: path weights
+between boxes factor per axis (see _box_weight), so total_paths visits no
+node. "det" evaluates the paper's path determinant per pair
+and serves as the independent oracle for miss_paths. Cross-check modes rerun
+pairs on both per-pair engines and fail loudly on any disagreement.
 
 The avoid set defaults to FR ("blocked"). Passing obstacle="faults" instead
 counts paths that dodge the fault region F alone, with numerator pairs drawn
@@ -39,7 +34,7 @@ from faultring.faults import Classification, FaultComplex
 from faultring.mesh import Box, Coord, MeshShape, padded_indices
 from faultring.paths import avoiding_det, avoiding_dp, restriction_points
 
-Engine = Literal["det", "dp", "box"]
+Engine = Literal["det", "dp"]
 EnginePolicy = Literal["auto", "det", "dp"]
 CrossCheck = Literal["off", "sample", "full"]
 Obstacle = Literal["blocked", "faults"]
@@ -85,7 +80,7 @@ def predicted_cost(shape: MeshShape) -> int:
 
     Each sum makes (3^n - 1) / 2 passes over the N nodes, and a pass relaxes
     at most n predecessors per node. Every `budget` is a ceiling on this count.
-    It stays the dp cost of both sums even where they are closed-form.
+    It stays the dp cost of both sums even where total_paths is closed-form.
     """
     return 3**shape.n * shape.n * shape.node_count
 
@@ -170,17 +165,21 @@ def _pair_sum(
     return total
 
 
-def _fold(axes: Iterable[list[int]]) -> list[int]:
-    """Fold per-axis distance counts into path weights by total length.
+def _box_weight(x: Box, y: Box) -> int:
+    """W(x, y): the minimal paths of every ordered pair (a, b) in x * y, that is
+    the sum of multinomial(|a - b|), folded one axis at a time.
 
-    counts[d] on an axis weighs the offsets of length d along it. After the
+    On axis j let c(d) count the pairs of coordinates at distance d. After the
     axes before j, weights[L] sums the product of the counts times the
     multinomial over the offset vectors of length L; axis j then adds
-    comb(L + d, d) * counts[d] * weights[L] at length L + d. The product
+    comb(L + d, d) * c(d) * weights[L] at length L + d. The product
     comb(L + d, d) * weights[L] grows along d by the exact ratio (L + d) / d.
     """
     weights = [1]
-    for counts in axes:
+    for xl, xh, yl, yh in zip(x.lo, x.hi, y.lo, y.hi):
+        counts = [0] * (max(abs(yl - xh), abs(yh - xl)) + 1)
+        for t in range(yl - xh, yh - xl + 1):  # b - a = t
+            counts[abs(t)] += min(xh, yh - t) - max(xl, yl - t) + 1
         folded = [0] * (len(weights) + len(counts) - 1)
         for length, w in enumerate(weights):
             for d, c in enumerate(counts):
@@ -189,138 +188,35 @@ def _fold(axes: Iterable[list[int]]) -> list[int]:
                 if c:
                     folded[length + d] += w * c
         weights = folded
-    return weights
-
-
-def _box_weight(x: Box, y: Box) -> int:
-    """W(x, y): the minimal paths of every ordered pair (a, b) in x * y, that is
-    the sum of multinomial(|a - b|), by _fold over the number of coordinate
-    pairs at each distance on each axis."""
-    axes = []
-    for xl, xh, yl, yh in zip(x.lo, x.hi, y.lo, y.hi):
-        counts = [0] * (max(abs(yl - xh), abs(yh - xl)) + 1)
-        for t in range(yl - xh, yh - xl + 1):  # b - a = t
-            counts[abs(t)] += min(xh, yh - t) - max(xl, yl - t) + 1
-        axes.append(counts)
-    return sum(_fold(axes))
-
-
-def _filled_box(nodes: set[Coord]) -> Box | None:
-    """The bounding box of nodes when they fill it; None for no nodes or any
-    other set (a set is a box exactly when its size is its box's volume)."""
-    if not nodes:
-        return None
-    axes = list(zip(*nodes))
-    box = Box(tuple(map(min, axes)), tuple(map(max, axes)))
-    return box if box.volume == len(nodes) else None
-
-
-def _outside_pairs(shape: MeshShape, box: Box | None) -> int:
-    """Sum of multinomial(|a - b|) over unordered pairs of distinct nodes
-    outside box (all nodes when box is None), with M the mesh and N its size:
-
-        (W(M, M) - 2 W(box, M) + W(box, box) - (N - |box|)) / 2,
-
-    the ordered pairs outside the box, less the pairs of a node with itself,
-    halved."""
-    mesh = Box((0,) * shape.n, tuple(r - 1 for r in shape.radices))
-    weight = _box_weight(mesh, mesh)
-    outside = shape.node_count
-    if box is not None:
-        weight += _box_weight(box, box) - 2 * _box_weight(box, mesh)
-        outside -= box.volume
-    return (weight - outside) // 2
-
-
-def _box_misses(shape: MeshShape, box: Box) -> int:
-    """miss_paths for an avoid set that fills box, from the box's faces alone.
-
-    A monotone path meets a box in one contiguous run, so a path that hits
-    it enters by exactly one edge q -> p, q outside and p on the near face;
-    its start lies behind q and is outside the box automatically. With
-    _pair_sum's passes over d in {+1, -1, 0}^n, first non-zero entry +1 and
-    weight (-1)^(frozen axes), the unordered hit weight is
-
-        sum_d w_d * sum_{i: d_i != 0} sum_{p on the near face along i}
-            S(behind q) * (S(ahead of p in the mesh) - S(ahead of p in the box)),
-
-    where S(X) = sum_{0 <= x <= X} multinomial(x) over the free axes and the
-    frozen axes contribute the box's extent on them as a factor. The misses
-    are the pairs outside the box (_outside_pairs) less the hits.
-
-    S is _fold with one count per distance, its largest extent contracted by
-    the hockey stick sum_{d <= X} comb(L + d, d) = comb(L + X + 1, X). S is
-    symmetric in its axes, so it is memoised within the call on its sorted
-    non-zero extents.
-    """
-    memo: dict[tuple[int, ...], int] = {}  # S by its extents, as given and as sorted
-
-    def s(extents: tuple[int, ...]) -> int:
-        value = memo.get(extents)
-        if value is None:
-            key = tuple(sorted(x for x in extents if x))
-            value = memo.get(key)
-            if value is None:
-                *rest, last = key or (0,)
-                value, c = 0, last + 1  # c = comb(L + last + 1, last) at L = 0
-                for length, w in enumerate(_fold([[1] * (x + 1) for x in rest])):
-                    value += w * c
-                    c = c * (length + last + 2) // (length + 2)
-                memo[key] = value
-            memo[extents] = value
-        return value
-
-    # Per axis: the box's extent, and each node's (behind, ahead in the mesh,
-    # ahead in the box) from the near face on, with the axis oriented up or down.
-    axes = [
-        (
-            hi - lo + 1,
-            tuple((p, r - 1 - p, hi - p) for p in range(lo, hi + 1)),
-            tuple((r - 1 - p, p, p - lo) for p in range(hi, lo - 1, -1)),
-        )
-        for lo, hi, r in zip(box.lo, box.hi, shape.radices)
-    ]
-    hit = 0
-    for d in product((1, -1, 0), repeat=shape.n):
-        if next((x for x in d if x), -1) != 1:
-            continue
-        frozen = 1  # (-1)^(frozen axes) times the box's extent on each
-        spans = []
-        for x, (extent, up, down) in zip(d, axes):
-            if x == 0:
-                frozen *= -extent
-            else:
-                spans.append(up if x == 1 else down)
-        for i, span in enumerate(spans):
-            near, *ahead = span[0]
-            if not near:
-                continue  # nothing lies behind the near face
-            entry = ((near - 1, *ahead),)  # behind q, ahead of p
-            face = 0
-            # S is symmetric, so the entry axis may come first.
-            for point in product(entry, *spans[:i], *spans[i + 1 :]):
-                behind, ahead_mesh, ahead_box = zip(*point)
-                if ahead_mesh != ahead_box:
-                    face += s(behind) * (s(ahead_mesh) - s(ahead_box))
-            hit += frozen * face
-    return _outside_pairs(shape, box) - hit
+    return sum(weights)
 
 
 def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
     """Sum of minimal-path counts over unordered pairs of distinct non-faulty nodes.
 
     Geometry only: paths may run through faulty nodes. Fault coordinates
-    outside the mesh are ignored. When the faults fill their bounding box (or
-    there are none) the sum is closed-form, _outside_pairs of that box; any
-    other fault set takes _pair_sum's passes over the mesh.
+    outside the mesh are ignored. When the faults F fill their bounding box
+    (or there are none), with M the mesh, N its size and W as in _box_weight,
+    the sum is closed-form:
+
+        (W(M, M) - 2 W(F, M) + W(F, F) - (N - |F|)) / 2,
+
+    the ordered pairs of healthy nodes, less the pairs of a node with itself,
+    halved. Any other fault set takes _pair_sum's passes over the mesh.
     """
     faults = {v for v in fault_nodes if shape.contains(v)}
-    if shape.node_count - len(faults) < 2:
+    healthy = shape.node_count - len(faults)
+    if healthy < 2:
         raise ValueError("need at least two non-faulty nodes")
-    box = _filled_box(faults)
-    if faults and box is None:
+    mesh = Box((0,) * shape.n, tuple(r - 1 for r in shape.radices))
+    if not faults:
+        return (_box_weight(mesh, mesh) - healthy) // 2
+    axes = list(zip(*faults))
+    box = Box(tuple(map(min, axes)), tuple(map(max, axes)))
+    if box.volume != len(faults):
         return _pair_sum(shape, faults, ())
-    return _outside_pairs(shape, box)
+    weight = _box_weight(mesh, mesh) - 2 * _box_weight(box, mesh) + _box_weight(box, box)
+    return (weight - healthy) // 2
 
 
 def miss_paths(
@@ -332,22 +228,16 @@ def miss_paths(
 ) -> int:
     """Sum of obstacle-avoiding path counts over unordered pairs outside the obstacle.
 
-    The obstacle is FR by default, or F alone with obstacle="faults". engine
-    "box" needs an obstacle whose in-mesh nodes fill their bounding box and
-    raises ValueError on any other. With cross_check "sample" a
-    deterministic subset of pairs (and with "full" every pair) is recomputed
-    on both per-pair engines; any disagreement raises EngineMismatch naming
-    the offending pair. The sample is the pairs of rank k * max(1, P // 64),
-    k < 64, among the P pairs of _free_pairs. Under det, "full" returns the
-    recount: each determinant is evaluated once.
+    The obstacle is FR by default, or F alone with obstacle="faults". With
+    cross_check "sample" a deterministic subset of pairs (and with "full"
+    every pair) is recomputed on both engines; any disagreement raises
+    EngineMismatch naming the offending pair. The sample is the pairs of
+    rank k * max(1, P // 64), k < 64, among the P pairs of _free_pairs.
+    Under det, "full" returns the recount: each determinant is evaluated once.
     """
-    _require_choice("engine", engine, ("det", "dp", "box"))
+    _require_choice("engine", engine, ("det", "dp"))
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
     avoid = _avoid_set(complex_, obstacle)
-    if engine == "box":
-        box = _filled_box({v for v in avoid if shape.contains(v)})
-        if box is None:
-            raise ValueError("engine 'box' needs an avoid set that fills its bounding box")
     checked = 0
     if cross_check != "off":
         pairs = _free_pairs(shape, avoid)
@@ -364,8 +254,6 @@ def miss_paths(
 
     if engine == "dp":
         result = _pair_sum(shape, avoid, avoid)
-    elif engine == "box":
-        result = _box_misses(shape, box)
     elif cross_check == "full":
         result = checked  # the recount has summed every pair, det and dp agreeing
     else:
@@ -393,9 +281,6 @@ def select_engine(
     obstacle: Obstacle = "blocked",
 ) -> EngineChoice:
     """Pick the miss-path engine for a scenario: "det" on request, "dp" otherwise.
-
-    "auto" means "dp" for every avoid set. It does not pick "box" (see
-    miss_paths) even where that engine applies.
 
     predicted_det_cost is reported, not consulted: the determinant engine
     costs roughly (pairs) * (m + 1)^3 big-integer operations, with m the

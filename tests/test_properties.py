@@ -1,7 +1,7 @@
 """Property tests: the all-pairs engine against the per-pair oracles, its
-invariance under the symmetries of the mesh, the closed-form denominator and
-the box engine for box faults against the all-pairs engine, connectivity and
-rings against their definitions, and the scenario round trip."""
+invariance under the symmetries of the mesh, the closed-form denominator of
+box faults against the engine, connectivity and rings against their
+definitions, and the scenario round trip."""
 
 import math
 from itertools import combinations, product
@@ -137,43 +137,6 @@ def test_closed_form_denominator_matches_engine(case):
     if shape.node_count <= MAX_NODES:
         healthy = [v for v in shape.nodes() if v not in faults]
         assert expected == sum(path_count(a, b) for a, b in combinations(healthy, 2))
-
-
-@st.composite
-def rect_faults(draw):
-    """A mesh with n 1..4 and radices 2..6 and one rectangular fault: anywhere,
-    a single node, against the border, full width on some axes, on a mesh of
-    radix 2 on some axes, or the whole mesh."""
-    kind = draw(st.sampled_from(("random", "single", "border", "full-width", "radix-2", "whole")))
-    radices = []
-    for _ in range(draw(st.integers(1, 4))):
-        two = kind == "radix-2" and draw(st.booleans())
-        radices.append(2 if two else draw(st.integers(2, 6)))
-    shape = MeshShape(tuple(radices))
-    lo, hi = [], []
-    for r in shape.radices:
-        if kind == "single":
-            a = b = draw(st.integers(0, r - 1))
-        elif kind == "whole" or (kind == "full-width" and draw(st.booleans())):
-            a, b = 0, r - 1
-        elif kind == "border":
-            a, b = sorted((draw(st.sampled_from((0, r - 1))), draw(st.integers(0, r - 1))))
-        else:
-            a, b = sorted((draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))))
-        lo.append(a)
-        hi.append(b)
-    extents = tuple(b - a + 1 for a, b in zip(lo, hi))
-    return shape, build_complex(shape, RectFault(tuple(lo), extents))
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(rect_faults())
-def test_box_engine_matches_dp_engine(case):
-    shape, complex_ = case
-    for obstacle, avoid in (("blocked", complex_.blocked), ("faults", complex_.faults)):
-        assert miss_paths(shape, complex_, engine="box", obstacle=obstacle) == _pair_sum(
-            shape, avoid, avoid
-        )
 
 
 @st.composite

@@ -82,9 +82,8 @@ def test_dp_engine_pinned_beyond_property_test_sizes(radices, origin, extents, t
     shape = MeshShape(radices)
     complex_ = build_complex(shape, RectFault(origin, extents))
     assert total_paths(shape, complex_.faults) == total
-    for engine in ("dp", "box"):
-        assert miss_paths(shape, complex_, engine=engine, obstacle="blocked") == blocked
-        assert miss_paths(shape, complex_, engine=engine, obstacle="faults") == faults
+    assert miss_paths(shape, complex_, engine="dp", obstacle="blocked") == blocked
+    assert miss_paths(shape, complex_, engine="dp", obstacle="faults") == faults
 
 
 def test_closed_form_denominator_pinned_on_a_100_cubed_mesh(monkeypatch):
@@ -101,31 +100,18 @@ def test_closed_form_denominator_pinned_on_a_100_cubed_mesh(monkeypatch):
     )
 
 
-def test_box_engine_pinned_on_a_100_cubed_mesh(monkeypatch):
-    # Literal sums from the dp engine (about 5 s each); the box engine visits no node.
-    def no_passes(*args):
-        raise AssertionError("a box avoid set needs no pass over the mesh")
+def test_numerator_with_under_two_endpoints_makes_no_pass(monkeypatch):
+    # A full-width fault whose ring covers the rest of the mesh leaves no pair.
+    def no_passes(*args, **kwargs):
+        raise AssertionError("fewer than two endpoints need no pass over the mesh")
 
-    monkeypatch.setattr(reliability, "_pair_sum", no_passes)
-    shape = MeshShape((100, 100, 100))
-    complex_ = build_complex(shape, RectFault((40, 40, 40), (5, 5, 5)))
-    assert miss_paths(shape, complex_, engine="box", obstacle="blocked") == int(
-        "55117800465136813726989995646869323394986673792005239337251597697554787"
-        "2831893300230268530164092784471362325798947740525042836183794998344648"
-    )
-    assert miss_paths(shape, complex_, engine="box", obstacle="faults") == int(
-        "59090686684138307207994698760326297086055965854159594075395490331480473"
-        "0292141439114183939502015060054031726765930929201844731615099651920199"
-    )
-
-
-def test_box_engine_refuses_an_avoid_set_that_is_no_box():
-    shape = MeshShape((6, 6))
-    complex_ = build_complex(shape, ArbitraryFault(frozenset({(1, 1), (4, 4)})))
-    with pytest.raises(ValueError, match="engine 'box' needs an avoid set that fills"):
-        miss_paths(shape, complex_, engine="box")
-    with pytest.raises(ValueError, match="engine 'box' needs"):
-        miss_paths(shape, build_complex(shape, None), engine="box")
+    monkeypatch.setattr(reliability, "product", no_passes)
+    shape = MeshShape((4, 3))
+    complex_ = build_complex(shape, RectFault((0, 1), (4, 1)))
+    assert complex_.blocked == set(shape.nodes())
+    assert miss_paths(shape, complex_, engine="dp") == 0
+    all_but_one = set(shape.nodes()) - {(2, 0)}
+    assert reliability._pair_sum(shape, all_but_one, all_but_one) == 0
 
 
 def test_miss_paths_with_fault_obstacle():
