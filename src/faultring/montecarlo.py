@@ -6,10 +6,9 @@ included), so the hit fraction estimates the path-weighted probability the
 exact engine computes, under either avoid-set choice (the ring-augmented
 region by default, the bare fault region with obstacle="faults"), with the
 binomial standard error. One uniform integer below the path weight of all
-ordered pairs names a path: bisection over cumulative weights picks the
-offset vector, the rest a placement of the pair and the rank of its path.
-A pair with a faulty endpoint is redrawn; a scenario where that would stall
-is refused up front.
+ordered pairs names a pair, through small per-axis tables; the path is then
+walked one move at a time. A pair with a faulty endpoint is redrawn; a
+scenario where that would stall is refused up front.
 
 Determinism: samples come in fixed blocks of _BLOCK consecutive indices, and
 block b draws all of its samples, in order, from one generator seeded from
@@ -25,13 +24,11 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, product
-from operator import mul
+from itertools import accumulate
 from typing import Iterator
 
 from faultring.faults import FaultComplex
 from faultring.mesh import Coord, MeshShape, padded_indices
-from faultring.paths import multinomial
 from faultring.reliability import EnginePolicy, Obstacle, _avoid_set, compute_reliability
 
 _SEED_SPAN = 2**64
@@ -80,88 +77,90 @@ class McEstimate:
         return self.total_weight
 
 
-def _unrank(remaining: list[int], paths: int, rank: int) -> Iterator[int]:
-    """Yield the axis of each move of the minimal path with the given rank.
-
-    Of the `paths` paths left, those whose next move is along axis i take the
-    next paths * remaining[i] / left ranks. Consumes `remaining`.
-    """
-    left = sum(remaining)
-    while left:
+def _walk(rng: random.Random, remaining: list[int]) -> Iterator[int]:
+    """Yield the axis of each move of a uniformly random minimal path with
+    remaining[i] moves along axis i, consuming `remaining`: the next move is
+    along axis i with probability remaining[i] / left, x drawn as
+    rng.randrange(left) draws it, without its argument checks, which cost more."""
+    for left in range(sum(remaining), 0, -1):
+        k = left.bit_length()
+        x = rng.getrandbits(k)
+        while x >= left:
+            x = rng.getrandbits(k)
         for i, count in enumerate(remaining):
-            block = paths * count // left
-            if rank < block:
+            if x < count:
                 break
-            rank -= block
-        paths = block
+            x -= count
         remaining[i] -= 1
-        left -= 1
         yield i
 
 
 def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
     """Draw a uniformly random minimal path from a to b, inclusive of both."""
-    remaining = [abs(y - x) for x, y in zip(a, b)]
     steps = [1 if y >= x else -1 for x, y in zip(a, b)]
-    paths = multinomial(remaining)
     cur = list(a)
     path = [tuple(a)]
-    for i in _unrank(remaining, paths, rng.randrange(paths)):
+    for i in _walk(rng, [abs(y - x) for x, y in zip(a, b)]):
         cur[i] += steps[i]
         path.append(tuple(cur))
     return path
 
 
 def _pair_table(shape: MeshShape):
-    """Per absolute offset vector d != 0, in product order: d, multinomial(d),
-    the placements per axis (low corner, and orientation where d_i != 0), and
-    the path weight of the ordered pairs at every earlier offset, then of all;
-    last, the padded strides of the mesh and the padded index of node 0."""
-    radices = shape.radices
-    offsets = list(islice(product(*map(range, radices)), 1, None))
-    # multinomial(d) one axis at a time in product order, without the unbounded
-    # memo of paths.multinomial: appending x to a prefix of length l gives
-    # multinomial(prefix, x) = multinomial(prefix, x - 1) * (l + x) / x.
-    paths, lengths = [1], [0]
-    for r in radices:
-        longer, longer_lengths = [], []
-        for m, length in zip(paths, lengths):
-            for x in range(r):
-                if x:
-                    length += 1
-                    m = m * length // x
-                longer.append(m)
-                longer_lengths.append(length)
-        paths, lengths = longer, longer_lengths
-    del paths[0]
-    spans = [tuple([(r - x) * 2 if x else r for r, x in zip(radices, d)]) for d in offsets]
-    starts = list(accumulate(map(mul, paths, map(math.prod, spans)), initial=0))
+    """Per-axis tables of the path weight of the ordered pairs of distinct nodes.
+
+    Axis j places a distance 0 in c_j(0) = r_j ways and a distance x > 0 in
+    c_j(x) = 2 (r_j - x), a low corner and a flip. As in
+    reliability._box_weight, the weight is folded one axis at a time: axis j
+    turns the weight at length L into sum_x weights[L - x] * c_j(x) * comb(L, x).
+    Returns the weight below each length from 1 on, and of all pairs; per
+    axis its radix, padded stride and, per length L, the distances x, the
+    weight below each and of all, and the divisors c_j(x) * comb(L, x); and
+    the padded index of node 0.
+    """
     strides = shape.padded_strides()
-    return offsets, paths, spans, starts, strides, sum(strides)
+    axes = []
+    weights = [1]
+    for radix, stride in zip(shape.radices, strides):
+        rows = []
+        for length in range(len(weights) + radix - 1):
+            distances = range(max(0, length + 1 - len(weights)), min(length, radix - 1) + 1)
+            divisors = [(2 * (radix - x) if x else radix) * math.comb(length, x) for x in distances]
+            parts = (weights[length - x] * c for x, c in zip(distances, divisors))
+            rows.append((distances, list(accumulate(parts, initial=0)), divisors))
+        axes.append((radix, stride, rows))
+        weights = [starts[-1] for _, starts, _ in rows]
+    return list(accumulate(weights[1:], initial=0)), axes, sum(strides)
 
 
 def _draw(rng: random.Random, table, faulty: frozenset[int] = frozenset()):
     """Draw an ordered pair of distinct nodes in proportion to its minimal paths,
-    and one of those paths uniformly: the endpoints' padded flat indices (see
-    MeshShape.padded_strides), the signed flat step along each axis, and the
-    axes of the path's moves, unranked lazily. A pair with an endpoint in
-    `faulty` gives None before its walk is built."""
-    offsets, paths, spans, starts, strides, origin = table
-    x = rng.randrange(starts[-1])
-    k = bisect_right(starts, x) - 1
-    place, rank = divmod(x - starts[k], paths[k])
+    and one of those paths uniformly: the endpoints' padded flat indices, the
+    signed flat step of each axis, and lazily the index into those steps of
+    each move. A pair with an endpoint in `faulty` gives None before its walk
+    is built. Bisection maps a random rank below the weight of all pairs to a
+    length, then, from the last axis to the first, to a distance x; a divmod
+    by x's divisor leaves the placement and the rank among the axes before."""
+    lengths, axes, origin = table
+    rank = rng.randrange(lengths[-1])
+    length = bisect_right(lengths, rank)
+    rank -= lengths[length - 1]
     first = last = origin
-    flips = []
-    for d, span, stride in zip(offsets[k], spans[k], strides):
-        place, low = divmod(place, span)
-        low, flip = divmod(low, 2) if d else (low, 0)
-        first += (low + d * flip) * stride
-        last += (low + d - d * flip) * stride
-        flips.append(flip)
+    remaining, moves = [], []
+    for radix, stride, rows in reversed(axes):
+        distances, starts, divisors = rows[length]
+        k = bisect_right(starts, rank) - 1
+        x = distances[k]
+        rank, place = divmod(rank - starts[k], divisors[k])
+        low, flip = divmod(place % (2 * (radix - x)), 2) if x else (place, 0)
+        first += (low + x * flip) * stride
+        last += (low + x - x * flip) * stride
+        remaining.append(x)
+        moves.append(-stride if flip else stride)
+        length -= x
     if first in faulty or last in faulty:
         return None
-    moves = [-stride if flip else stride for flip, stride in zip(flips, strides)]
-    return first, last, moves, _unrank(list(offsets[k]), paths[k], rank)
+    return first, last, moves, _walk(rng, remaining)
 
 
 def _check_sampleable(table, faulty: frozenset[int]) -> None:
@@ -228,9 +227,9 @@ def estimate_p_hit(
 
     Nodes are numbered by mesh.padded_indices, as in the exact engine.
     """
-    if shape.node_count - len(complex_.faults) < 2:
-        raise ValueError("need at least two non-faulty nodes to sample pairs")
     faulty = padded_indices(shape, complex_.faults)
+    if shape.node_count - len(faulty) < 2:
+        raise ValueError("need at least two non-faulty nodes to sample pairs")
     avoid = padded_indices(shape, _avoid_set(complex_, obstacle))
     table = _pair_table(shape)
     _check_sampleable(table, faulty)

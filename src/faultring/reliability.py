@@ -69,6 +69,17 @@ class EngineMismatch(RuntimeError):
         )
 
 
+class AggregateMismatch(EngineMismatch):
+    """The all-pairs sum disagreed with the per-pair recount of every pair."""
+
+    def __init__(self, aggregate: int, recount: int):
+        self.aggregate = aggregate
+        self.recount = recount
+        RuntimeError.__init__(
+            self, f"aggregate disagrees with per-pair recount: {aggregate} vs {recount}"
+        )
+
+
 def _free_pairs(shape: MeshShape, avoid: frozenset[Coord]) -> Iterator[tuple[Coord, Coord]]:
     """Unordered pairs of distinct nodes outside avoid, each node with every later one
     in row-major order."""
@@ -231,9 +242,11 @@ def miss_paths(
     The obstacle is FR by default, or F alone with obstacle="faults". With
     cross_check "sample" a deterministic subset of pairs (and with "full"
     every pair) is recomputed on both engines; any disagreement raises
-    EngineMismatch naming the offending pair. The sample is the pairs of
-    rank k * max(1, P // 64), k < 64, among the P pairs of _free_pairs.
-    Under det, "full" returns the recount: each determinant is evaluated once.
+    EngineMismatch naming the offending pair. Under "full", a result other
+    than the recount's sum raises its subclass AggregateMismatch. The sample
+    is the pairs of rank k * max(1, P // 64), k < 64, among the P pairs of
+    _free_pairs. Under det, "full" returns the recount: each determinant is
+    evaluated once.
     """
     _require_choice("engine", engine, ("det", "dp"))
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
@@ -260,9 +273,7 @@ def miss_paths(
         pairs = _free_pairs(shape, avoid)
         result = sum(avoiding_det(a, b, restriction_points(a, b, avoid)) for a, b in pairs)
     if cross_check == "full" and checked != result:
-        raise RuntimeError(
-            f"aggregate disagrees with per-pair recount: {result} vs {checked}"
-        )
+        raise AggregateMismatch(result, checked)
     return result
 
 

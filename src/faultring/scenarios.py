@@ -64,9 +64,6 @@ class AnalysisOptions:
     budget: float = DEFAULT_BUDGET
 
 
-McOptions = McConfig
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     shape: MeshShape

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from faultring import cli
+from faultring import cli, reliability
 from faultring.reliability import EngineMismatch
 from faultring.scenarios import parse_scenario
 
@@ -133,6 +133,17 @@ def test_analyze_cross_check_failure_exits_4(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 4
     assert "cross-check" in err
+
+
+def test_analyze_aggregate_mismatch_exits_4(tmp_path, capsys, monkeypatch):
+    # Under the full cross-check, an all-pairs sum that disagrees with the
+    # per-pair recount is a cross-check failure, not a traceback.
+    pair_sum = reliability._pair_sum
+    monkeypatch.setattr(reliability, "_pair_sum", lambda *args: pair_sum(*args) + 1)
+    code = cli.main(["analyze", "-s", _write(tmp_path, SMALL), "--cross-check", "full"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "cross-check failure: aggregate disagrees with per-pair recount: 149 vs 148" in err
 
 
 def test_simulate_output_is_reproducible(tmp_path, capsys):
@@ -296,9 +307,9 @@ def test_readme_simulate_example(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(README))
     assert cli.main(["simulate", "-s", "-", "--samples", "3000", "--seed", "4"]) == 0
     assert capsys.readouterr().out == (
-        "mesh  samples  seed  p_hat               std_error            hits  obstacle\n"
-        "----  -------  ----  ------------------  -------------------  ----  --------\n"
-        "5x5   3000     4     0.9023333333333333  0.00542086323528841  2707  blocked\n"
+        "mesh  samples  seed  p_hat               std_error             hits  obstacle\n"
+        "----  -------  ----  ------------------  --------------------  ----  --------\n"
+        "5x5   3000     4     0.9063333333333333  0.005320448897060236  2719  blocked\n"
     )
 
 

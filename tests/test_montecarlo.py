@@ -11,7 +11,7 @@ import pytest
 
 import faultring
 from faultring import montecarlo
-from faultring.faults import ArbitraryFault, RectFault, build_complex
+from faultring.faults import ArbitraryFault, FaultComplex, RectFault, build_complex, ring_of
 from faultring.mesh import MeshShape, padded_index
 from faultring.montecarlo import (
     _BLOCK,
@@ -22,8 +22,9 @@ from faultring.montecarlo import (
     estimate_p_hit,
     sample_minimal_path,
 )
-from faultring.paths import _multinomial, multinomial, path_count
-from faultring.reliability import compute_reliability
+from faultring.paths import _multinomial, path_count
+from faultring.reference import reference_row
+from faultring.reliability import compute_reliability, total_paths
 
 
 def test_config_validation():
@@ -123,6 +124,20 @@ def test_too_few_sampling_nodes_rejected():
     complex_ = build_complex(shape, three_of_four)
     with pytest.raises(ValueError):
         estimate_p_hit(shape, complex_, McConfig(samples=10, seed=0))
+
+
+def test_fault_coordinates_outside_the_mesh_are_not_nodes():
+    # A hand-built complex may hold a fault outside the mesh, here (5, 5); like
+    # the exact engine, the estimator sees two healthy nodes, not one.
+    shape = MeshShape((2, 2))
+    faults = frozenset({(0, 0), (0, 1), (5, 5)})
+    ring = frozenset(ring_of(shape, faults))
+    complex_ = FaultComplex(faults, ring, faults | ring, None)
+    for obstacle, p_hit in (("blocked", 1.0), ("faults", 0.0)):
+        comparison = compare_with_exact(
+            shape, complex_, McConfig(samples=300, seed=0), obstacle=obstacle
+        )
+        assert comparison.exact_p_hit == comparison.estimate.p_hat == p_hit
 
 
 def test_pair_draws_follow_path_counts():
@@ -230,15 +245,56 @@ def test_each_block_of_samples_is_seeded_once(monkeypatch):
 
 
 def test_pair_table_leaves_the_multinomial_memo_alone():
-    # The table's multinomials come from a recurrence, not from the unbounded
-    # memo of paths.multinomial, which would keep one entry per offset vector.
+    # The table folds per-axis weights; it must not fill the unbounded memo of
+    # paths.multinomial, which would keep one entry per offset vector.
     _multinomial.cache_clear()
     shape = MeshShape((9, 8, 7))
     complex_ = build_complex(shape, RectFault((3, 3, 3), (2, 2, 2)))
     estimate_p_hit(shape, complex_, McConfig(samples=200, seed=1))
     assert _multinomial.cache_info().currsize == 0
-    offsets, paths = _pair_table(MeshShape((4, 3, 5, 2)))[:2]
-    assert paths == [multinomial(d) for d in offsets]
+
+
+class _FirstRank(random.Random):
+    """A generator seeded with `rank` whose first randrange returns `rank`."""
+
+    def __init__(self, rank: int):
+        super().__init__(rank)
+        self.rank = rank
+
+    def randrange(self, stop: int) -> int:
+        if self.rank is None:
+            return super().randrange(stop)
+        rank, self.rank = self.rank, None
+        assert rank < stop
+        return rank
+
+
+@pytest.mark.parametrize("radices", [(5,), (2, 2), (4, 4), (3, 4, 2), (2, 3, 2, 2)])
+def test_every_rank_names_a_pair_once_per_minimal_path(radices):
+    # Every rank below the table's total weight, fed to _draw, gives an ordered
+    # pair of distinct nodes and a walk from the first to the last; over all
+    # ranks each pair comes up exactly as often as it has minimal paths.
+    shape = MeshShape(radices)
+    strides = shape.padded_strides()
+    node_at = {padded_index(v, strides): v for v in shape.nodes()}
+    table = _pair_table(shape)
+    counts = Counter()
+    for rank in range(table[0][-1]):
+        first, last, moves, axes = _draw(_FirstRank(rank), table)
+        cur = first
+        for i in axes:
+            cur += moves[i]
+        assert cur == last
+        counts[first, last] += 1
+    assert dict(counts) == {
+        (a, b): path_count(node_at[a], node_at[b]) for a in node_at for b in node_at if a != b
+    }
+
+
+@pytest.mark.parametrize("radices", [reference_row(5).radices, reference_row(6).radices, (12,) * 3])
+def test_pair_table_weight_is_twice_the_fault_free_denominator(radices):
+    shape = MeshShape(radices)
+    assert _pair_table(shape)[0][-1] == 2 * total_paths(shape, ())
 
 
 def test_importing_the_package_leaves_multiprocessing_out():

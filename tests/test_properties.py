@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from faultring.faults import ArbitraryFault, OverlapFault, RectFault, build_complex, ring_of
 from faultring.mesh import Box, MeshShape, is_connected, neighbors
+from faultring.montecarlo import McConfig
 from faultring.paths import avoiding_brute, path_count
 from faultring.reliability import (
     CROSS_CHECKS,
@@ -24,7 +25,6 @@ from faultring.reliability import (
 )
 from faultring.scenarios import (
     AnalysisOptions,
-    McOptions,
     ScenarioConfig,
     parse_scenario,
     serialize_scenario,
@@ -227,7 +227,7 @@ def scenario_configs(draw):
         obstacle=draw(st.sampled_from(OBSTACLES)),
         budget=draw(st.floats(min_value=1e-3, max_value=1e300, allow_infinity=False)),
     )
-    mc = McOptions(
+    mc = McConfig(
         samples=draw(st.integers(1, 10**9)),
         seed=draw(st.integers(0, 2**70)),
         workers=draw(st.integers(1, 64)),
