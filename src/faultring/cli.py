@@ -2,12 +2,12 @@
 
 All behavior is flag-driven; no environment variables are consulted. A
 --budget is a ceiling on the exact engine's predicted cost (see
-reliability.predicted_cost): analyze refuses a scenario above it before
-validating it, and table2 skips the rows above it. Exit codes: 0 success, 2
-scenario or usage error (analyze over budget, or simulate on a scenario whose
-faults hold nearly all path weight), 3 validation failure, 4 engine
-cross-check failure, 5 rows skipped under the table2 budget when
---skips-as-error is set.
+reliability.predicted_cost): analyze refuses a valid scenario above it
+before any exact work, and table2 skips the rows above it. Exit codes: 0
+success, 2 scenario or usage error (analyze over budget, or simulate on a
+scenario whose faults hold nearly all path weight), 3 validation failure,
+checked first, 4 engine cross-check failure, 5 rows skipped under the table2
+budget when --skips-as-error is set.
 """
 
 from __future__ import annotations
@@ -117,8 +117,6 @@ def _validated(config: ScenarioConfig):
 
 
 def _print_table(rows: list[dict], stream) -> None:
-    if not rows:
-        return
     headers = list(rows[0])
     cells = [{h: str(r.get(h, "")) for h in headers} for r in rows]
     widths = {h: max(len(h), max(len(c[h]) for c in cells)) for h in headers}
@@ -129,8 +127,6 @@ def _print_table(rows: list[dict], stream) -> None:
 
 
 def _print_csv(rows: list[dict], stream) -> None:
-    if not rows:
-        return
     writer = csv.writer(stream, lineterminator="\n")
     headers = list(rows[0])
     writer.writerow(headers)
@@ -187,9 +183,6 @@ def _print_findings(report: ValidationReport, stream) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _read_scenario(args)
     opts = config.analysis
-    # Refuse before validation, whose connectivity search visits every node.
-    check_budget(config.shape, opts.budget)
-
     spec, complex_, report = _validated(config)
     if not report.ok:
         _print_findings(report, sys.stderr)
@@ -253,6 +246,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
+    # The columns an exact run fills in; a SKIPPED row leaves them blank.
+    computed_columns = (
+        "computed_label", "p_hit_blocked", "p_hit_faults", "computed", "abs_diff", "engine",
+        "runtime_s",
+    )
     rows: list[dict] = []
     skipped = 0
     for ref in REFERENCE_ROWS:
@@ -270,20 +268,8 @@ def cmd_table2(args: argparse.Namespace) -> int:
             check_budget(shape, args.budget)
         except ValueError as exc:
             skipped += 1
-            rows.append(
-                {
-                    **base,
-                    "computed_label": "",
-                    "p_hit_blocked": "",
-                    "p_hit_faults": "",
-                    "computed": "",
-                    "abs_diff": "",
-                    "engine": "",
-                    "runtime_s": "",
-                    "status": "SKIPPED",
-                    "note": str(exc),
-                }
-            )
+            blank = dict.fromkeys(computed_columns, "")
+            rows.append({**base, **blank, "status": "SKIPPED", "note": str(exc)})
             continue
         start = time.perf_counter()
         blocked = compute_reliability(shape, complex_, budget=args.budget)
@@ -295,20 +281,16 @@ def cmd_table2(args: argparse.Namespace) -> int:
         note = ""
         if computed_label != ref.published_label:
             note = f"block touches the border; published label says {ref.published_label}"
-        rows.append(
-            {
-                **base,
-                "computed_label": computed_label,
-                "p_hit_blocked": format_probability(blocked.p_hit, args.precision),
-                "p_hit_faults": format_probability(faults.p_hit, args.precision),
-                "computed": format_probability(own.p_hit, args.precision),
-                "abs_diff": f"{diff:.4f}",
-                "engine": blocked.engine,
-                "runtime_s": round(runtime, 2),
-                "status": "OK",
-                "note": note,
-            }
-        )
+        computed = dict(zip(computed_columns, (
+            computed_label,
+            format_probability(blocked.p_hit, args.precision),
+            format_probability(faults.p_hit, args.precision),
+            format_probability(own.p_hit, args.precision),
+            f"{diff:.4f}",
+            blocked.engine,
+            round(runtime, 2),
+        )))
+        rows.append({**base, **computed, "status": "OK", "note": note})
     footer = [
         "",
         "computed = value under the row's own convention; " + CONVENTION_NOTE + ".",

@@ -238,7 +238,8 @@ def validate_complex(
                 Finding("disconnected", "fault region disconnects the healthy subgraph")
             )
 
-    free_outside = shape.node_count - len(complex_.blocked)
+    # ring_of clips the ring to the mesh, so only fault nodes can lie outside it.
+    free_outside = shape.node_count - len(complex_.blocked) + len(outside)
     if not complex_.is_empty and free_outside < 2:
         infos.append(
             Finding(

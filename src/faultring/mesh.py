@@ -72,7 +72,8 @@ def padded_index(v: Coord, strides: Sequence[int]) -> int:
 
 def padded_indices(shape: MeshShape, nodes: Iterable[Coord]) -> frozenset[int]:
     """Padded flat indices of the nodes inside the mesh: the one node numbering
-    of the exact engine, the connectivity search and the Monte-Carlo estimator."""
+    of the exact engine and the Monte-Carlo estimator. The connectivity search
+    numbers its collapsed mesh the same way."""
     strides = shape.padded_strides()
     return frozenset(padded_index(v, strides) for v in nodes if shape.contains(v))
 
@@ -162,15 +163,33 @@ def bounding_box(a: Coord, b: Coord) -> Box:
 def is_connected(shape: MeshShape, faulty: Iterable[Coord] = ()) -> bool:
     """True when the subgraph on non-faulty nodes is connected.
 
+    The search runs on a collapsed mesh, so its cost follows the fault
+    region, not the mesh. On each axis it keeps 0, r - 1 and every fault
+    coordinate with its two neighbours; a dropped coordinate x is then a
+    fault-free hyperplane between two fault-free ones, and linking x - 1 to
+    x + 1 directly leaves connectivity as it was. So each run of fault-free
+    hyperplanes shrinks to at most two. Fault coordinates outside the mesh
+    are ignored.
+
     A search from the first healthy node in row-major order runs on the
     padded layout of MeshShape.padded_strides: a move along axis i is
     +-strides[i], and the border cells start out seen, so no move needs a
-    bounds check. Fault coordinates outside the mesh are ignored.
+    bounds check.
 
     Raises ValueError if every node is faulty.
     """
+    faults = [v for v in faulty if shape.contains(v)]
+    kept = []
+    for i, r in enumerate(shape.radices):
+        keep = {0, r - 1}
+        for x in {v[i] for v in faults}:
+            keep.update((x - 1, x, x + 1))
+        kept.append(sorted(x for x in keep if 0 <= x < r))
+    shape = MeshShape(tuple(map(len, kept)))
     strides = shape.padded_strides()
-    dead = padded_indices(shape, faulty)
+    # The padded offset, on the collapsed mesh, of each kept coordinate.
+    offsets = [{x: (k + 1) * s for k, x in enumerate(axis)} for axis, s in zip(kept, strides)]
+    dead = {sum(o[x] for o, x in zip(offsets, v)) for v in faults}
     alive_total = shape.node_count - len(dead)
     if alive_total <= 0:
         raise ValueError("all nodes are faulty; connectivity is undefined")

@@ -29,7 +29,7 @@ from typing import Iterator
 
 from faultring.faults import FaultComplex
 from faultring.mesh import Coord, MeshShape, padded_indices
-from faultring.reliability import EnginePolicy, Obstacle, _avoid_set, compute_reliability
+from faultring.reliability import Obstacle, _avoid_set, compute_reliability
 
 _SEED_SPAN = 2**64
 # One seeding costs about as much as one sample; a block makes it negligible.
@@ -64,7 +64,6 @@ class McEstimate:
     std_error: float
     samples: int
     seed: int
-    workers: int
     hit_weight: int
     total_weight: int
 
@@ -255,10 +254,13 @@ def estimate_p_hit(
         std_error=std_error,
         samples=samples,
         seed=config.seed,
-        workers=config.workers,
         hit_weight=hits,
         total_weight=samples,
     )
+
+
+# An estimate further than this many standard errors from the exact value fails.
+SIGMA_LIMIT = 4.0
 
 
 @dataclass(frozen=True)
@@ -274,16 +276,15 @@ def compare_with_exact(
     shape: MeshShape,
     complex_: FaultComplex,
     config: McConfig,
-    engine: EnginePolicy = "auto",
-    sigma_limit: float = 4.0,
     obstacle: Obstacle = "blocked",
 ) -> McComparison:
-    """Run both the exact engine and the estimator and flag disagreement.
+    """Run both the exact engine, with its default options, and the estimator
+    and flag disagreement.
 
-    Disagreement beyond sigma_limit standard errors (or any disagreement when
+    Disagreement beyond SIGMA_LIMIT standard errors (or any disagreement when
     the standard error is zero) fails the comparison.
     """
-    exact = compute_reliability(shape, complex_, engine=engine, obstacle=obstacle)
+    exact = compute_reliability(shape, complex_, obstacle=obstacle)
     estimate = estimate_p_hit(shape, complex_, config, obstacle=obstacle)
     abs_error = abs(estimate.p_hat - float(exact.p_hit))
     if estimate.std_error > 0:
@@ -295,5 +296,5 @@ def compare_with_exact(
         estimate=estimate,
         abs_error=abs_error,
         sigma_distance=sigma,
-        ok=sigma <= sigma_limit,
+        ok=sigma <= SIGMA_LIMIT,
     )

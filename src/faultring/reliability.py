@@ -213,20 +213,21 @@ def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
         (W(M, M) - 2 W(F, M) + W(F, F) - (N - |F|)) / 2,
 
     the ordered pairs of healthy nodes, less the pairs of a node with itself,
-    halved. Any other fault set takes _pair_sum's passes over the mesh.
+    halved; with no faults the two F terms drop out. Any other fault set
+    takes _pair_sum's passes over the mesh.
     """
     faults = {v for v in fault_nodes if shape.contains(v)}
     healthy = shape.node_count - len(faults)
     if healthy < 2:
         raise ValueError("need at least two non-faulty nodes")
     mesh = Box((0,) * shape.n, tuple(r - 1 for r in shape.radices))
-    if not faults:
-        return (_box_weight(mesh, mesh) - healthy) // 2
-    axes = list(zip(*faults))
-    box = Box(tuple(map(min, axes)), tuple(map(max, axes)))
-    if box.volume != len(faults):
-        return _pair_sum(shape, faults, ())
-    weight = _box_weight(mesh, mesh) - 2 * _box_weight(box, mesh) + _box_weight(box, box)
+    weight = _box_weight(mesh, mesh)
+    if faults:
+        axes = list(zip(*faults))
+        box = Box(tuple(map(min, axes)), tuple(map(max, axes)))
+        if box.volume != len(faults):
+            return _pair_sum(shape, faults, ())
+        weight += _box_weight(box, box) - 2 * _box_weight(box, mesh)
     return (weight - healthy) // 2
 
 
@@ -296,17 +297,20 @@ def select_engine(
     predicted_det_cost is reported, not consulted: the determinant engine
     costs roughly (pairs) * (m + 1)^3 big-integer operations, with m the
     expected number of obstacle nodes inside a random pair's bounding box.
+    Both count only the obstacle nodes inside the mesh, as miss_paths does.
     """
     _require_choice("engine", policy, ENGINES)
     _require_choice("cross_check", cross_check or "off", CROSS_CHECKS)
     avoid = _avoid_set(complex_, obstacle)
-    free = shape.node_count - len(avoid)
+    # ring_of clips the ring to the mesh, so only fault nodes can lie outside it.
+    inside = len(avoid) - sum(not shape.contains(v) for v in complex_.faults)
+    free = shape.node_count - inside
     pairs = free * (free - 1) / 2
     box_fraction = 1.0
     for r in shape.radices:
         expected_span = (r * r - 1) / (3 * r) + 1  # mean |x - y| + 1 over a random pair
         box_fraction *= expected_span / r
-    expected_m = len(avoid) * box_fraction
+    expected_m = inside * box_fraction
     det_cost = pairs * (expected_m + 1) ** 3
     engine: Engine = "det" if policy == "det" else "dp"
     return EngineChoice(engine, cross_check or "off", det_cost)
@@ -355,8 +359,6 @@ def compute_reliability(
     check_budget(shape, budget)
     choice = select_engine(shape, complex_, engine, cross_check, obstacle)
     denominator = total_paths(shape, complex_.faults)
-    if denominator <= 0:
-        raise ValueError("no paths between non-faulty nodes; denominator is empty")
     if complex_.is_empty:
         # Nothing to hit: every path misses.
         return ReliabilityResult(
@@ -387,15 +389,8 @@ def format_probability(value: Fraction, places: int = 3) -> str:
     """Render an exact fraction as a decimal string, round half to even."""
     if places < 0:
         raise ValueError("places must be >= 0")
-    num, den = value.numerator, value.denominator
-    negative = num < 0
-    num = abs(num)
-    scaled, remainder = divmod(num * 10**places, den)
-    doubled = 2 * remainder
-    if doubled > den or (doubled == den and scaled % 2 == 1):
-        scaled += 1
-    text = str(scaled)
+    text = str(round(abs(value) * 10**places))  # Fraction rounds half to even, exactly
     if places:
         text = text.rjust(places + 1, "0")
         text = f"{text[:-places]}.{text[-places:]}"
-    return f"-{text}" if negative else text
+    return f"-{text}" if value < 0 else text

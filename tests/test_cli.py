@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
+import faultring
 from faultring import cli, reliability
 from faultring.reliability import EngineMismatch
 from faultring.scenarios import parse_scenario
@@ -108,14 +111,11 @@ def test_analyze_over_budget_exits_2(tmp_path, capsys):
     assert "predicted cost 450 exceeds budget 10" in err
 
 
-def test_analyze_over_budget_refuses_before_validation(tmp_path, capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("validate_complex ran on an over-budget scenario")
-
-    monkeypatch.setattr(cli, "validate_complex", fail)
-    code = cli.main(["analyze", "-s", _write(tmp_path, SMALL), "--budget", "10"])
-    assert code == 2
-    assert "exceeds budget 10" in capsys.readouterr().err
+def test_analyze_reports_validation_before_budget(tmp_path, capsys):
+    code = cli.main(["analyze", "-s", _write(tmp_path, WALL), "--budget", "10"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "disconnected" in err
 
 
 def test_analyze_missing_file_exits_2(capsys):
@@ -243,6 +243,35 @@ def test_validate_fail_on_disconnection(tmp_path, capsys):
     assert code == 3
     assert "FAIL" in out
     assert "disconnected" in out
+
+
+def _limit_address_space():
+    # A search over every node of these meshes would need gigabytes; it then
+    # fails with MemoryError instead of filling the machine.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "mesh, origin, extents, code, verdict",
+    [
+        ([1000, 1000, 1000], [500, 500, 500], [5, 5, 5], 0, "PASS"),
+        ([1000, 1000], [500, 0], [1, 1000], 3, "VIOLATION disconnected"),
+    ],
+)
+def test_validate_cost_follows_the_fault_region(mesh, origin, extents, code, verdict):
+    fault = {"type": "rect", "origin": origin, "extents": extents}
+    scenario = json.dumps({"mesh": mesh, "faults": [fault]})
+    src = os.path.dirname(os.path.dirname(faultring.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "faultring.cli", "validate", "-s", "-"],
+        input=scenario, capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=_limit_address_space if os.name == "posix" else None,
+    )
+    assert done.returncode == code, done.stderr
+    assert verdict in done.stdout
 
 
 def test_validate_json_shape(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from faultring.faults import (
     ArbitraryFault,
     Classification,
+    FaultComplex,
     OverlapFault,
     RectFault,
     build_complex,
@@ -126,6 +127,18 @@ def test_validate_flags_blocked_covering_mesh():
     report = validate_complex(shape, complex_, spec)
     assert report.ok
     assert any(f.code == "blocked-covers-mesh" for f in report.infos)
+
+
+def test_validate_counts_only_blocked_nodes_inside_the_mesh():
+    # A hand-built complex may hold a fault outside the mesh, here (5, 5): it
+    # is reported, and it does not count against the two nodes left outside
+    # the blocked set of the fault at (0, 0).
+    shape = MeshShape((2, 3))
+    faults = frozenset({(0, 0), (5, 5)})
+    ring = frozenset(ring_of(shape, faults))
+    report = validate_complex(shape, FaultComplex(faults, ring, faults | ring, None))
+    assert [f.code for f in report.violations] == ["fault-outside-mesh"]
+    assert not any(f.code == "blocked-covers-mesh" for f in report.infos)
 
 
 def test_validate_flags_disjoint_overlap():

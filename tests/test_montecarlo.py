@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -213,7 +212,7 @@ def test_block_boundaries_do_not_leak_into_results(monkeypatch):
         serial = estimate_p_hit(shape, complex_, McConfig(samples=samples, seed=9))
         for workers in (2, 3, 4, 8):
             split = estimate_p_hit(shape, complex_, McConfig(samples, seed=9, workers=workers))
-            assert replace(split, workers=1) == serial, (samples, workers)
+            assert split == serial, (samples, workers)
         hits[samples] = serial.hit_weight
     assert 0 <= hits[1] <= 1
     assert 0 <= hits[_BLOCK] - hits[_BLOCK - 1] <= 1

@@ -166,6 +166,17 @@ def faulty_meshes(draw):
     return shape, faults
 
 
+def _connected_by_neighbour_search(shape, faults, healthy):
+    seen = {healthy[0]}
+    stack = [healthy[0]]
+    while stack:
+        for nb in neighbors(shape, stack.pop()):
+            if nb not in faults and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(healthy)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(faulty_meshes())
 def test_is_connected_matches_neighbour_search(case):
@@ -177,14 +188,41 @@ def test_is_connected_matches_neighbour_search(case):
         with pytest.raises(ValueError):
             is_connected(shape, outside)
         return
-    seen = {healthy[0]}
-    stack = [healthy[0]]
-    while stack:
-        for nb in neighbors(shape, stack.pop()):
-            if nb not in faults and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    assert is_connected(shape, outside) == (len(seen) == len(healthy))
+    assert is_connected(shape, outside) == _connected_by_neighbour_search(shape, faults, healthy)
+
+
+@st.composite
+def sparse_faulty_meshes(draw):
+    """A mesh with n 1..4, radices 2..12 and at most 2000 nodes, with a few
+    scattered faults and up to two full-width walls, each maybe with one hole,
+    so that is_connected's collapse drops runs of fault-free hyperplanes; or
+    every node but one faulty."""
+    n = draw(st.integers(1, 4))
+    shape = MeshShape(tuple(draw(st.integers(2, 12)) for _ in range(n)))
+    assume(shape.node_count <= 2000)
+    nodes = list(shape.nodes())
+    if draw(st.integers(0, 9)) == 0:
+        return shape, set(nodes) - {draw(st.sampled_from(nodes))}
+    faults = set(draw(st.lists(st.sampled_from(nodes), max_size=6)))
+    for _ in range(draw(st.integers(0, 2))):
+        axis = draw(st.integers(0, n - 1))
+        x = draw(st.integers(0, shape.radices[axis] - 1))
+        wall = [v for v in nodes if v[axis] == x]
+        if draw(st.booleans()):
+            wall.remove(draw(st.sampled_from(wall)))
+        faults.update(wall)
+    return shape, faults
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sparse_faulty_meshes())
+def test_collapsed_search_matches_neighbour_search(case):
+    shape, faults = case
+    healthy = [v for v in shape.nodes() if v not in faults]
+    assume(healthy)
+    # Coordinates just outside the mesh, above and below, are ignored.
+    outside = faults | {shape.radices, (-1,) * shape.n}
+    assert is_connected(shape, outside) == _connected_by_neighbour_search(shape, faults, healthy)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from faultring import reliability
-from faultring.faults import ArbitraryFault, RectFault, build_complex
+from faultring.faults import ArbitraryFault, FaultComplex, RectFault, build_complex
 from faultring.mesh import MeshShape
 from faultring.paths import avoiding_det, avoiding_dp, path_count
 from faultring.reliability import (
@@ -230,6 +230,17 @@ def test_select_engine_policies():
     blocked_cost = select_engine(big, big_complex).predicted_det_cost
     faults_cost = select_engine(big, big_complex, obstacle="faults").predicted_det_cost
     assert faults_cost < blocked_cost
+
+
+def test_select_engine_counts_only_obstacle_nodes_inside_the_mesh():
+    # A hand-built complex may hold a fault outside the mesh, here (5, 5); it
+    # is not a node, so one pair of healthy nodes remains and costs something.
+    shape = MeshShape((2, 2))
+    faults = frozenset({(0, 0), (0, 1), (5, 5)})
+    complex_ = FaultComplex(faults, frozenset(), faults, None)
+    choice = select_engine(shape, complex_, policy="det", obstacle="faults")
+    assert choice.predicted_det_cost > 0
+    assert miss_paths(shape, complex_, "det", obstacle="faults") == 1
 
 
 def test_predicted_cost_counts_cells_of_both_sums():
