@@ -29,6 +29,7 @@ from typing import Iterator
 
 from faultring.faults import FaultComplex
 from faultring.mesh import Coord, MeshShape, padded_indices
+from faultring.paths import _axis_counts, _fold
 from faultring.reliability import Obstacle, _avoid_set, compute_reliability
 
 _SEED_SPAN = 2**64
@@ -109,26 +110,25 @@ def _pair_table(shape: MeshShape):
     """Per-axis tables of the path weight of the ordered pairs of distinct nodes.
 
     Axis j places a distance 0 in c_j(0) = r_j ways and a distance x > 0 in
-    c_j(x) = 2 (r_j - x), a low corner and a flip. As in
-    reliability._box_weight, the weight is folded one axis at a time: axis j
-    turns the weight at length L into sum_x weights[L - x] * c_j(x) * comb(L, x).
+    c_j(x) = 2 (r_j - x), a low corner and a flip. The weight is folded one
+    axis at a time by paths._fold, the fold behind reliability._box_weight,
+    with the mesh against itself: row L of axis j holds the parts
+    weights[L - x] * c_j(x) * comb(L, x) for ascending distances x.
     Returns the weight below each length from 1 on, and of all pairs; per
     axis its radix, padded stride and, per length L, the distances x, the
-    weight below each and of all, and the divisors c_j(x) * comb(L, x); and
-    the padded index of node 0.
+    weight below each and of all, and the divisors c_j(x) * comb(L, x), each
+    its part divided exactly by weights[L - x]; and the padded index of node 0.
     """
     strides = shape.padded_strides()
+    folds, weights = _fold(_axis_counts(0, r - 1, 0, r - 1) for r in shape.radices)
     axes = []
-    weights = [1]
-    for radix, stride in zip(shape.radices, strides):
-        rows = []
-        for length in range(len(weights) + radix - 1):
-            distances = range(max(0, length + 1 - len(weights)), min(length, radix - 1) + 1)
-            divisors = [(2 * (radix - x) if x else radix) * math.comb(length, x) for x in distances]
-            parts = (weights[length - x] * c for x, c in zip(distances, divisors))
-            rows.append((distances, list(accumulate(parts, initial=0)), divisors))
-        axes.append((radix, stride, rows))
-        weights = [starts[-1] for _, starts, _ in rows]
+    for radix, stride, (before, rows) in zip(shape.radices, strides, folds):
+        table = []
+        for length, parts in enumerate(rows):
+            distances = range(max(0, length + 1 - len(before)), min(length, radix - 1) + 1)
+            divisors = [p // before[length - x] for x, p in zip(distances, parts)]
+            table.append((distances, list(accumulate(parts, initial=0)), divisors))
+        axes.append((radix, stride, table))
     return list(accumulate(weights[1:], initial=0)), axes, sum(strides)
 
 

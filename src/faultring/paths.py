@@ -8,13 +8,16 @@ independent engines count the paths that avoid a set of forbidden nodes:
 * avoiding_dp: a dynamic program over the bounding box,
 * avoiding_brute: literal depth-first enumeration, the small-size ground truth.
 
+Summed over pairs of points, the path weight folds one axis at a time (see
+_fold): the closed-form denominator (reliability._box_weight) and the
+Monte-Carlo pair table (montecarlo._pair_table) both read that one fold.
+
 All arithmetic is exact (unbounded integers).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -25,23 +28,59 @@ class PathEnumerationLimit(RuntimeError):
     """Raised when brute-force enumeration would exceed its path cap."""
 
 
-@lru_cache(maxsize=None)
-def _multinomial(parts: tuple[int, ...]) -> int:
-    # Repeated binomial products keep intermediates no larger than the result.
+def multinomial(parts: Iterable[int]) -> int:
+    """Multinomial coefficient (sum parts)! / prod(part!); 0 if any part is negative.
+
+    A product of binomials, which keeps every intermediate no larger than
+    the result.
+    """
     total = 0
     result = 1
     for p in parts:
+        if p < 0:
+            return 0
         total += p
         result *= math.comb(total, p)
     return result
 
 
-def multinomial(parts: Iterable[int]) -> int:
-    """Multinomial coefficient (sum parts)! / prod(part!); 0 if any part is negative."""
-    t = tuple(parts)
-    if any(p < 0 for p in t):
-        return 0
-    return _multinomial(t)
+def _axis_counts(xl: int, xh: int, yl: int, yh: int) -> list[int]:
+    """c(d): the pairs of coordinates a in [xl, xh], b in [yl, yh] with |b - a| = d."""
+    counts = [0] * (max(abs(yl - xh), abs(yh - xl)) + 1)
+    for t in range(yl - xh, yh - xl + 1):  # b - a = t
+        counts[abs(t)] += min(xh, yh - t) - max(xl, yl - t) + 1
+    return counts
+
+
+def _fold(axes: Iterable[list[int]]) -> tuple[list[tuple[list[int], list[list[int]]]], list[int]]:
+    """Fold the path weight of pairs of points one axis at a time.
+
+    Each axis is given by its counts c(d) of coordinate pairs at distance d.
+    Before axis j, weights[L] sums, over the pairs' offset vectors on the
+    axes before j of length L, the product of their counts times
+    multinomial(offset). Axis j turns this into
+    weights'[T] = sum_d weights[T - d] * comb(T, d) * c(d); row T of the axis
+    lists these parts for the distances d ascending from
+    max(0, T + 1 - len(weights)), zero counts included. Walking d up from a
+    source length L, comb(L + d, d) * weights[L] grows by the exact ratio
+    (L + d) / d, so no binomial is computed.
+
+    Returns, per axis, the weights before it and its rows, and the weights
+    after the last axis.
+    """
+    weights = [1]
+    folds = []
+    for counts in axes:
+        rows: list[list[int]] = [[] for _ in range(len(weights) + len(counts) - 1)]
+        for length in range(len(weights) - 1, -1, -1):  # so each row's d ascends
+            w = weights[length]
+            for d, c in enumerate(counts):
+                if d:
+                    w = w * (length + d) // d
+                rows[length + d].append(w * c)
+        folds.append((weights, rows))
+        weights = [sum(row) for row in rows]
+    return folds, weights
 
 
 def path_count(a: Coord, b: Coord) -> int:

@@ -25,14 +25,16 @@ outside F; published reference tables use that quantity for interior rings.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Literal
 
 from faultring.faults import Classification, FaultComplex
 from faultring.mesh import Box, Coord, MeshShape, padded_indices
-from faultring.paths import avoiding_det, avoiding_dp, restriction_points
+from faultring.paths import _axis_counts, _fold, avoiding_det, avoiding_dp, restriction_points
 
 Engine = Literal["det", "dp"]
 EnginePolicy = Literal["auto", "det", "dp"]
@@ -84,6 +86,32 @@ def _free_pairs(shape: MeshShape, avoid: frozenset[Coord]) -> Iterator[tuple[Coo
     """Unordered pairs of distinct nodes outside avoid, each node with every later one
     in row-major order."""
     return combinations((v for v in shape.nodes() if v not in avoid), 2)
+
+
+def _sampled_pairs(shape: MeshShape, avoid: frozenset[Coord]) -> Iterator[tuple[Coord, Coord]]:
+    """The pairs of _free_pairs of rank k * max(1, P // 64), k < 64, among its P
+    pairs, found without walking the pairs before them.
+
+    Counted from the last pair, rank q lies among the pairs whose first node
+    has t + 1 later free nodes, t the largest integer with t (t + 1) / 2 <= q.
+    The free node of rank f has row-major index f plus the number of in-mesh
+    avoid nodes g_t, t-th in row-major order from 0, with g_t - t <= f.
+    """
+    strides = [math.prod(shape.radices[i + 1:]) for i in range(shape.n)]
+    inside = sorted(sum(x * s for x, s in zip(v, strides)) for v in avoid if shape.contains(v))
+    shifted = [g - t for t, g in enumerate(inside)]
+
+    def node(f: int) -> Coord:
+        g = f + bisect_right(shifted, f)
+        return tuple(g // s % r for s, r in zip(strides, shape.radices))
+
+    free = shape.node_count - len(inside)
+    pairs = free * (free - 1) // 2
+    step = max(1, pairs // _CROSS_CHECK_SAMPLE_LIMIT)
+    for k in range(0, min(pairs, step * _CROSS_CHECK_SAMPLE_LIMIT), step):
+        q = pairs - 1 - k
+        t = (math.isqrt(8 * q + 1) - 1) // 2
+        yield node(free - 2 - t), node(free - 1 - q + t * (t + 1) // 2)
 
 
 def predicted_cost(shape: MeshShape) -> int:
@@ -178,28 +206,9 @@ def _pair_sum(
 
 def _box_weight(x: Box, y: Box) -> int:
     """W(x, y): the minimal paths of every ordered pair (a, b) in x * y, that is
-    the sum of multinomial(|a - b|), folded one axis at a time.
-
-    On axis j let c(d) count the pairs of coordinates at distance d. After the
-    axes before j, weights[L] sums the product of the counts times the
-    multinomial over the offset vectors of length L; axis j then adds
-    comb(L + d, d) * c(d) * weights[L] at length L + d. The product
-    comb(L + d, d) * weights[L] grows along d by the exact ratio (L + d) / d.
-    """
-    weights = [1]
-    for xl, xh, yl, yh in zip(x.lo, x.hi, y.lo, y.hi):
-        counts = [0] * (max(abs(yl - xh), abs(yh - xl)) + 1)
-        for t in range(yl - xh, yh - xl + 1):  # b - a = t
-            counts[abs(t)] += min(xh, yh - t) - max(xl, yl - t) + 1
-        folded = [0] * (len(weights) + len(counts) - 1)
-        for length, w in enumerate(weights):
-            for d, c in enumerate(counts):
-                if d:
-                    w = w * (length + d) // d
-                if c:
-                    folded[length + d] += w * c
-        weights = folded
-    return sum(weights)
+    the sum of multinomial(|a - b|), folded one axis at a time by paths._fold
+    from each axis's counts of coordinate pairs by distance."""
+    return sum(_fold(map(_axis_counts, x.lo, x.hi, y.lo, y.hi))[1])
 
 
 def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
@@ -254,11 +263,7 @@ def miss_paths(
     avoid = _avoid_set(complex_, obstacle)
     checked = 0
     if cross_check != "off":
-        pairs = _free_pairs(shape, avoid)
-        if cross_check == "sample":
-            free = shape.node_count - sum(map(shape.contains, avoid))
-            step = max(1, free * (free - 1) // 2 // _CROSS_CHECK_SAMPLE_LIMIT)
-            pairs = islice(pairs, 0, step * _CROSS_CHECK_SAMPLE_LIMIT, step)
+        pairs = _free_pairs(shape, avoid) if cross_check == "full" else _sampled_pairs(shape, avoid)
         for a, b in pairs:
             det_value = avoiding_det(a, b, restriction_points(a, b, avoid))
             dp_value = avoiding_dp(a, b, avoid)

@@ -21,7 +21,7 @@ from faultring.montecarlo import (
     estimate_p_hit,
     sample_minimal_path,
 )
-from faultring.paths import _multinomial, path_count
+from faultring.paths import path_count
 from faultring.reference import reference_row
 from faultring.reliability import compute_reliability, total_paths
 
@@ -241,16 +241,6 @@ def test_each_block_of_samples_is_seeded_once(monkeypatch):
     estimate_p_hit(shape, complex_, McConfig(samples=samples, seed=3))
     # One seeding per block, plus the pilot's.
     assert len(calls) == math.ceil(samples / _BLOCK) + 1
-
-
-def test_pair_table_leaves_the_multinomial_memo_alone():
-    # The table folds per-axis weights; it must not fill the unbounded memo of
-    # paths.multinomial, which would keep one entry per offset vector.
-    _multinomial.cache_clear()
-    shape = MeshShape((9, 8, 7))
-    complex_ = build_complex(shape, RectFault((3, 3, 3), (2, 2, 2)))
-    estimate_p_hit(shape, complex_, McConfig(samples=200, seed=1))
-    assert _multinomial.cache_info().currsize == 0
 
 
 class _FirstRank(random.Random):

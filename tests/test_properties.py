@@ -1,10 +1,13 @@
 """Property tests: the all-pairs engine against the per-pair oracles, its
 invariance under the symmetries of the mesh, the closed-form denominator of
-box faults against the engine, connectivity and rings against their
-definitions, and the scenario round trip."""
+box faults against the engine, the per-axis fold of box-to-box path weights
+against per-pair counts, the sampled cross-check's unranked pairs against the
+walked ones, connectivity and rings against their definitions, and the
+scenario round trip."""
 
 import math
-from itertools import combinations, product
+import random
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,12 +16,15 @@ from hypothesis import strategies as st
 from faultring.faults import ArbitraryFault, OverlapFault, RectFault, build_complex, ring_of
 from faultring.mesh import Box, MeshShape, is_connected, neighbors
 from faultring.montecarlo import McConfig
-from faultring.paths import avoiding_brute, path_count
+from faultring.paths import _axis_counts, _fold, avoiding_brute, path_count
 from faultring.reliability import (
     CROSS_CHECKS,
     ENGINES,
     OBSTACLES,
+    _box_weight,
+    _free_pairs,
     _pair_sum,
+    _sampled_pairs,
     compute_reliability,
     miss_paths,
     total_paths,
@@ -137,6 +143,93 @@ def test_closed_form_denominator_matches_engine(case):
     if shape.node_count <= MAX_NODES:
         healthy = [v for v in shape.nodes() if v not in faults]
         assert expected == sum(path_count(a, b) for a, b in combinations(healthy, 2))
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes with n 1..4 and coordinates 0..5, disjoint, touching, nested,
+    equal or arbitrary, with a pair count small enough to count per pair."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("disjoint", "touching", "nested", "equal", "any")))
+    apart = draw(st.integers(0, n - 1))
+    x, y = [], []
+    for axis in range(n):
+        a, b = sorted((draw(st.integers(0, 5)), draw(st.integers(0, 5))))
+        if kind == "equal":
+            c, d = a, b
+        elif kind == "nested":
+            c = draw(st.integers(a, b))
+            d = draw(st.integers(c, b))
+        elif kind in ("disjoint", "touching") and axis == apart:
+            # a..b then c..d: a gap of at least one coordinate if disjoint, none if touching.
+            b = draw(st.integers(0, 3 if kind == "disjoint" else 4))
+            a = draw(st.integers(0, b))
+            c = draw(st.integers(b + 2, 5)) if kind == "disjoint" else b + 1
+            d = draw(st.integers(c, 5))
+            if draw(st.booleans()):
+                a, b, c, d = c, d, a, b
+        else:
+            c, d = sorted((draw(st.integers(0, 5)), draw(st.integers(0, 5))))
+        x.append((a, b))
+        y.append((c, d))
+    boxes = [Box(*zip(*intervals)) for intervals in (x, y)]
+    assume(boxes[0].volume * boxes[1].volume <= 4000)
+    return boxes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(box_pairs())
+def test_box_weight_sums_path_counts_over_box_pairs(boxes):
+    x, y = boxes
+    assert _box_weight(x, y) == sum(path_count(a, b) for a in x.nodes() for b in y.nodes())
+    # Row T of each axis of the fold lists weights[T - d] * comb(T, d) * c(d)
+    # for d ascending; the sum above cannot see that order.
+    axes = list(map(_axis_counts, x.lo, x.hi, y.lo, y.hi))
+    folds, _ = _fold(axes)
+    for counts, (before, rows) in zip(axes, folds):
+        for length, parts in enumerate(rows):
+            assert parts == [
+                before[length - d] * math.comb(length, d) * c
+                for d, c in enumerate(counts)
+                if 0 <= length - d < len(before)
+            ]
+
+
+@st.composite
+def avoid_sets(draw):
+    """A mesh of at most 300 nodes with n 1..4 and a set of scattered nodes,
+    optionally with the first node, the last node, a full row and a coordinate
+    outside the mesh."""
+    n = draw(st.integers(1, 4))
+    radices: list[int] = []
+    for i in range(n):
+        room = 300 // (math.prod(radices) * 2 ** (n - i - 1))
+        radices.append(draw(st.integers(2, room)))
+    shape = MeshShape(tuple(radices))
+    nodes = list(shape.nodes())
+    density = draw(st.sampled_from((0.0, 0.05, 0.3)))
+    rng = random.Random(draw(st.integers(0, 2**16)))  # st.randoms would cost a draw per node
+    avoid = {v for v in nodes if rng.random() < density}
+    if draw(st.booleans()):
+        avoid.add(nodes[0])
+    if draw(st.booleans()):
+        avoid.add(nodes[-1])
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(nodes))[:-1]
+        avoid |= {v for v in nodes if v[:-1] == row}
+    if draw(st.booleans()):
+        avoid.add(draw(st.sampled_from((shape.radices, (-1,) * n))))
+    return shape, frozenset(avoid)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(avoid_sets())
+def test_sampled_pairs_are_the_walked_pairs_of_their_ranks(case):
+    shape, avoid = case
+    free = sum(v not in avoid for v in shape.nodes())
+    step = max(1, free * (free - 1) // 2 // 64)
+    walked = list(islice(_free_pairs(shape, avoid), 0, step * 64, step))
+    assert list(_sampled_pairs(shape, avoid)) == walked
 
 
 @st.composite

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import faultring
 from faultring import reliability
 from faultring.faults import ArbitraryFault, FaultComplex, RectFault, build_complex
 from faultring.mesh import MeshShape
@@ -157,6 +161,26 @@ def test_sampled_cross_check_visits_pinned_pairs(monkeypatch):
     assert len(seen) == 64
     assert seen[:2] == [((0, 0), (0, 1)), ((0, 0), (1, 0))]
     assert seen[-1] == ((3, 6), (5, 5))
+
+
+def test_sampled_cross_check_on_a_60_cubed_mesh_does_not_walk_its_pairs():
+    # 60^3 less the 5^3 blocked nodes has about 2.3e10 free pairs: walking
+    # them to the sampled ranks takes minutes, unranking the 64 milliseconds.
+    # The engines are stubbed, so only choosing the pairs is timed.
+    code = """
+from faultring import reliability
+from faultring.faults import RectFault, build_complex
+from faultring.mesh import MeshShape
+
+reliability.avoiding_det = reliability.avoiding_dp = lambda a, b, points: 0
+reliability._pair_sum = lambda shape, excluded, forbidden: 0
+shape = MeshShape((60, 60, 60))
+complex_ = build_complex(shape, RectFault((30, 30, 30), (3, 3, 3)))
+assert reliability.miss_paths(shape, complex_, "dp", cross_check="sample") == 0
+"""
+    src = os.path.dirname(os.path.dirname(faultring.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=10)
 
 
 def test_per_pair_engines_run_on_the_fault_free_complex(monkeypatch):
