@@ -72,9 +72,13 @@ class EngineMismatch(RuntimeError):
 
 
 class AggregateMismatch(EngineMismatch):
-    """The all-pairs sum disagreed with the per-pair recount of every pair."""
+    """The all-pairs sum disagreed with the per-pair recount of every pair.
+
+    No one pair is at fault, so pair, det_value and dp_value are None.
+    """
 
     def __init__(self, aggregate: int, recount: int):
+        self.pair = self.det_value = self.dp_value = None
         self.aggregate = aggregate
         self.recount = recount
         RuntimeError.__init__(
@@ -256,7 +260,9 @@ def miss_paths(
     than the recount's sum raises its subclass AggregateMismatch. The sample
     is the pairs of rank k * max(1, P // 64), k < 64, among the P pairs of
     _free_pairs. Under det, "full" returns the recount: each determinant is
-    evaluated once.
+    evaluated once. With an empty obstacle (no faults), dp returns
+    total_paths(shape), the closed form its passes would sum to; det and the
+    cross-check still visit their pairs.
     """
     _require_choice("engine", engine, ("det", "dp"))
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
@@ -272,7 +278,7 @@ def miss_paths(
             checked += dp_value
 
     if engine == "dp":
-        result = _pair_sum(shape, avoid, avoid)
+        result = _pair_sum(shape, avoid, avoid) if avoid else total_paths(shape)
     elif cross_check == "full":
         result = checked  # the recount has summed every pair, det and dp agreeing
     else:
@@ -354,7 +360,8 @@ def compute_reliability(
     A route "hits" when it visits any node of the avoid set (endpoints
     included); it "misses" when it dodges that set entirely. Routes are
     weighted uniformly over all minimal paths between unordered pairs of
-    distinct non-faulty nodes.
+    distinct non-faulty nodes. A fault-free complex takes the same path: the
+    requested engine and cross-check run, and every route misses.
 
     A scenario whose predicted_cost exceeds budget, or an unknown engine,
     cross_check or obstacle name, raises ValueError before any work. workers
@@ -364,17 +371,6 @@ def compute_reliability(
     check_budget(shape, budget)
     choice = select_engine(shape, complex_, engine, cross_check, obstacle)
     denominator = total_paths(shape, complex_.faults)
-    if complex_.is_empty:
-        # Nothing to hit: every path misses.
-        return ReliabilityResult(
-            total_paths=denominator,
-            miss_paths=denominator,
-            p_miss=Fraction(1),
-            p_hit=Fraction(0),
-            engine=choice.engine,
-            classification=None,
-            obstacle=obstacle,
-        )
     missing = miss_paths(shape, complex_, choice.engine, choice.cross_check, obstacle)
     p_miss = Fraction(missing, denominator)
     if not 0 <= p_miss <= 1:

@@ -16,10 +16,12 @@ for "mc". The budget is a ceiling on the exact engine's predicted cost
 (reliability.predicted_cost); analysis refuses a scenario above it, and an
 integer budget beyond the float range reads as inf. Fault entries may be
 "rect" (origin + extents), "overlap" (a list of rects under "blocks"), or
-"arbitrary" (explicit "nodes"). Unknown fields anywhere are
-rejected, and every diagnostic names the offending location
-("faults[0].extents" and the like) so errors in generated files are
-traceable. Bounds are checked here, against the declared mesh, so a bad
+"arbitrary" (explicit "nodes"). Several entries form one union of their
+node sets; only an "overlap" entry is checked for blocks that meet.
+Unknown fields are rejected anywhere, and every diagnostic names the
+offending location ("faults[0].extents" and the like) so errors in
+generated files are traceable; a key repeated within any object is
+rejected by name. Bounds are checked here, against the declared mesh, so a bad
 block never reaches the analysis layer.
 """
 
@@ -74,15 +76,13 @@ class ScenarioConfig:
     def combined_fault(self) -> FaultSpec | None:
         """Collapse the fault list into one specification.
 
-        No entries: None. One entry: itself. Several rectangles: an overlap
-        union. Anything mixed: the explicit union of all node sets.
+        No entries: None. One entry: itself. Several entries: the explicit
+        union of all node sets.
         """
         if not self.faults:
             return None
         if len(self.faults) == 1:
             return self.faults[0]
-        if all(isinstance(f, RectFault) for f in self.faults):
-            return OverlapFault(tuple(self.faults))
         nodes: set = set()
         for spec in self.faults:
             nodes |= fault_nodes_of(self.shape, spec)
@@ -231,10 +231,20 @@ def _parse_mc(obj, path: str) -> McConfig:
     }))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's fields; a repeated key raises instead of keeping its last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError("", f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario JSON, rejecting unknown fields with positional errors."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError("", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):

@@ -17,6 +17,11 @@ ROW1 = '{"mesh":[3,2,2],"faults":[{"type":"rect","origin":[1,1,0],"extents":[1,1
 EMPTY = '{"mesh":[4,4]}'
 WALL = '{"mesh":[5,5],"faults":[{"type":"arbitrary","nodes":[[2,0],[2,1],[2,2],[2,3],[2,4]]}]}'
 BAD_BOUNDS = '{"mesh":[7,8,11],"faults":[{"type":"rect","origin":[0,0,0],"extents":[9,1,1]}]}'
+# Two separate rect entries: one union, as if the second were written as an arbitrary node.
+TWO_RECTS = (
+    '{"mesh":[10,10],"faults":[{"type":"rect","origin":[1,1],"extents":[1,1]},'
+    '{"type":"rect","origin":[7,7],"extents":[1,1]}]}'
+)
 SMALL = '{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2]}],"mc":{"samples":3000,"seed":4}}'
 README = '{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2]}]}'
 # Every analysis and mc field set, each to a value other than its default.
@@ -94,6 +99,37 @@ def test_analyze_validation_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "disconnected" in err
+
+
+def test_separate_rect_entries_analyze_as_one_union(tmp_path, capsys):
+    path = _write(tmp_path, TWO_RECTS)
+    assert cli.main(["validate", "-s", path]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert cli.main(["analyze", "-s", path, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["p_hit_exact"] == "783463/1348540"
+    assert row["fault_shape"] == "arbitrary:2nodes"
+    as_mixed = TWO_RECTS.replace(
+        '"rect","origin":[7,7],"extents":[1,1]', '"arbitrary","nodes":[[7,7]]'
+    )
+    assert cli.main(["analyze", "-s", _write(tmp_path, as_mixed), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["p_hit_exact"] == "783463/1348540"
+
+
+def test_declared_overlap_of_disjoint_blocks_exits_3(tmp_path, capsys):
+    scenario = (
+        '{"mesh":[10,10],"faults":[{"type":"overlap","blocks":['
+        '{"origin":[1,1],"extents":[1,1]},{"origin":[7,7],"extents":[1,1]}]}]}'
+    )
+    assert cli.main(["analyze", "-s", _write(tmp_path, scenario)]) == 3
+    err = capsys.readouterr().err
+    assert "overlap-disjoint: blocks 0 and 1 neither intersect nor touch" in err
+
+
+def test_repeated_key_exits_2(tmp_path, capsys):
+    scenario = '{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2]}],"faults":[]}'
+    assert cli.main(["analyze", "-s", _write(tmp_path, scenario)]) == 2
+    assert "scenario error: repeated key 'faults'" in capsys.readouterr().err
 
 
 def test_analyze_bounds_error_exits_2(tmp_path, capsys):

@@ -192,6 +192,51 @@ def test_per_pair_engines_run_on_the_fault_free_complex(monkeypatch):
     assert len(seen) == 42 * 41 // 2
 
 
+@pytest.mark.parametrize("engine, cross_check, dets, dps", [
+    ("det", None, 861, 0),
+    ("auto", "sample", 64, 64),
+    ("auto", "full", 861, 861),
+])
+def test_fault_free_analysis_runs_the_requested_engine_and_cross_check(
+    monkeypatch, engine, cross_check, dets, dps
+):
+    # 6x7 has 42 nodes, so 861 pairs; a fault-free complex takes no shortcut.
+    calls = {"det": 0, "dp": 0}
+
+    def counting(name, count):
+        def counted(*args):
+            calls[name] += 1
+            return count(*args)
+        return counted
+
+    monkeypatch.setattr(reliability, "avoiding_det", counting("det", avoiding_det))
+    monkeypatch.setattr(reliability, "avoiding_dp", counting("dp", avoiding_dp))
+    shape = MeshShape((6, 7))
+    result = compute_reliability(shape, build_complex(shape, None), engine, cross_check)
+    assert calls == {"det": dets, "dp": dps}
+    assert (result.p_hit, result.miss_paths) == (0, 12441)
+    assert result.engine == engine.replace("auto", "dp")
+
+
+def test_fault_free_dp_makes_no_pass_over_the_mesh(monkeypatch):
+    def no_passes(*args):
+        raise AssertionError("a fault-free numerator is the closed-form total_paths")
+
+    monkeypatch.setattr(reliability, "_pair_sum", no_passes)
+    shape = MeshShape((6, 7))
+    clean = build_complex(shape, None)
+    assert miss_paths(shape, clean) == 12441
+    assert compute_reliability(shape, clean, cross_check="sample").miss_paths == 12441
+
+
+def test_aggregate_mismatch_keeps_the_engine_mismatch_fields():
+    exc = reliability.AggregateMismatch(5, 6)
+    assert isinstance(exc, reliability.EngineMismatch)
+    assert (exc.pair, exc.det_value, exc.dp_value) == (None, None, None)
+    assert (exc.aggregate, exc.recount) == (5, 6)
+    assert str(exc) == "aggregate disagrees with per-pair recount: 5 vs 6"
+
+
 def test_full_cross_check_under_det_evaluates_each_determinant_once(monkeypatch):
     shape = MeshShape((5, 4, 3))
     complex_ = build_complex(shape, RectFault((1, 1, 1), (2, 1, 1)))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from faultring.faults import ArbitraryFault, OverlapFault, RectFault
+from faultring.faults import ArbitraryFault, RectFault
 from faultring.scenarios import (
     AnalysisOptions,
     ScenarioError,
@@ -122,8 +122,8 @@ def test_combined_fault_rules():
         '{"type":"rect","origin":[1,1],"extents":[2,2]}]}'
     )
     combined = two_rects.combined_fault()
-    assert isinstance(combined, OverlapFault)
-    assert len(combined.rects) == 2
+    assert isinstance(combined, ArbitraryFault)
+    assert len(combined.nodes) == 7
 
     mixed = parse_scenario(
         '{"mesh":[6,6],"faults":['
@@ -135,6 +135,18 @@ def test_combined_fault_rules():
     assert (4, 4) in union.nodes
     assert (0, 0) in union.nodes
     assert (1, 1) in union.nodes
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2]}],"faults":[]}',
+     "faults"),
+    ('{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2],"extents":[2,1]}]}',
+     "extents"),
+    ('{"mesh":[5,5],"analysis":{"engine":"det","engine":"dp"}}', "engine"),
+])
+def test_repeated_key_is_refused_wherever_it_appears(text, key):
+    with pytest.raises(ScenarioError, match=f"repeated key '{key}'"):
+        parse_scenario(text)
 
 
 def test_roundtrip_is_semantically_idempotent():
