@@ -110,10 +110,11 @@ def _read_scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _validated(config: ScenarioConfig):
-    """The scenario's combined fault spec, its fault complex, and their validation report."""
+    """The scenario's combined fault spec, its fault complex, and the validation
+    report of the complex against the scenario's fault entries."""
     spec = config.combined_fault()
     complex_ = build_complex(config.shape, spec)
-    return spec, complex_, validate_complex(config.shape, complex_, spec)
+    return spec, complex_, validate_complex(config.shape, complex_, config.faults)
 
 
 def _print_table(rows: list[dict], stream) -> None:

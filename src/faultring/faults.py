@@ -207,9 +207,16 @@ def _rect_gap(a: RectFault, b: RectFault) -> int:
 
 
 def validate_complex(
-    shape: MeshShape, complex_: FaultComplex, spec: FaultSpec | None = None
+    shape: MeshShape,
+    complex_: FaultComplex,
+    spec: FaultSpec | Sequence[FaultSpec] | None = None,
 ) -> ValidationReport:
     """Check a fault complex against the analysis preconditions.
+
+    spec is the description the complex was built from: one specification,
+    or a scenario's list of fault entries. Every overlap entry is checked for
+    blocks that neither intersect nor touch, whatever entries join it; with
+    several entries, each such finding names its entry.
 
     Violations block analysis (CLI exit code 3); infos are advisory, e.g. the
     blocked set covering the whole mesh, which just pins the miss probability
@@ -249,21 +256,26 @@ def validate_complex(
             )
         )
 
-    if isinstance(spec, OverlapFault):
-        if len(spec.rects) < 2:
+    single = isinstance(spec, (RectFault, OverlapFault, ArbitraryFault))
+    entries = (spec,) if single else tuple(spec or ())
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, OverlapFault):
+            continue
+        where = f" (faults[{k}])" if len(entries) > 1 else ""
+        if len(entry.rects) < 2:
             violations.append(
-                Finding("overlap-too-few", "overlap description needs at least two blocks")
+                Finding("overlap-too-few", f"overlap description needs at least two blocks{where}")
             )
-        for i in range(len(spec.rects)):
-            for j in range(i + 1, len(spec.rects)):
-                if _rect_gap(spec.rects[i], spec.rects[j]) > 1:
+        for i in range(len(entry.rects)):
+            for j in range(i + 1, len(entry.rects)):
+                if _rect_gap(entry.rects[i], entry.rects[j]) > 1:
                     violations.append(
                         Finding(
                             "overlap-disjoint",
-                            f"blocks {i} and {j} neither intersect nor touch",
+                            f"blocks {i} and {j} neither intersect nor touch{where}",
                         )
                     )
-    if isinstance(spec, RectFault):
+    if len(entries) == 1 and isinstance(entries[0], RectFault):
         infos.append(Finding("convex-by-construction", "rectangular region is convex"))
 
     return ValidationReport(tuple(violations), tuple(infos))

@@ -6,9 +6,12 @@ included), so the hit fraction estimates the path-weighted probability the
 exact engine computes, under either avoid-set choice (the ring-augmented
 region by default, the bare fault region with obstacle="faults"), with the
 binomial standard error. One uniform integer below the path weight of all
-ordered pairs names a pair, through small per-axis tables; the path is then
-walked one move at a time. A pair with a faulty endpoint is redrawn; a
-scenario where that would stall is refused up front.
+ordered pairs, a rank, names a pair through small per-axis tables
+(_pair_at), each pair by as many ranks as it has minimal paths; one of those
+paths is then walked uniformly, one move at a time, inline in the sample
+loop, which stops at the first node in the avoid set. A pair with a faulty
+endpoint is redrawn; a scenario where that would stall is refused up front.
+_walk is the same walk as a generator, for sample_minimal_path.
 
 Determinism: samples come in fixed blocks of _BLOCK consecutive indices, and
 block b draws all of its samples, in order, from one generator seeded from
@@ -81,7 +84,9 @@ def _walk(rng: random.Random, remaining: list[int]) -> Iterator[int]:
     """Yield the axis of each move of a uniformly random minimal path with
     remaining[i] moves along axis i, consuming `remaining`: the next move is
     along axis i with probability remaining[i] / left, x drawn as
-    rng.randrange(left) draws it, without its argument checks, which cost more."""
+    rng.randrange(left) draws it, without its argument checks, which cost more.
+    _tally_range inlines this walk draw for draw, so its sample stream is the
+    one this generator gives."""
     for left in range(sum(remaining), 0, -1):
         k = left.bit_length()
         x = rng.getrandbits(k)
@@ -132,22 +137,24 @@ def _pair_table(shape: MeshShape):
     return list(accumulate(weights[1:], initial=0)), axes, sum(strides)
 
 
-def _draw(rng: random.Random, table, faulty: frozenset[int] = frozenset()):
-    """Draw an ordered pair of distinct nodes in proportion to its minimal paths,
-    and one of those paths uniformly: the endpoints' padded flat indices, the
-    signed flat step of each axis, and lazily the index into those steps of
-    each move. A pair with an endpoint in `faulty` gives None before its walk
-    is built. Bisection maps a random rank below the weight of all pairs to a
-    length, then, from the last axis to the first, to a distance x; a divmod
-    by x's divisor leaves the placement and the rank among the axes before."""
+def _pair_at(table, rank: int):
+    """The ordered pair of distinct nodes that a rank below the weight of all
+    pairs names; every pair is named by as many ranks as it has minimal paths.
+
+    Returns the endpoints' padded flat indices, the signed flat step of each
+    axis, the number of moves left along each axis (a list the walk may
+    consume), and the path length. Bisection maps the rank to a length, then,
+    from the last axis to the first, to a distance x; a divmod by x's divisor
+    leaves the placement and the rank among the axes before. The path itself
+    is a further draw: _walk, or its inline copy in _tally_range."""
     lengths, axes, origin = table
-    rank = rng.randrange(lengths[-1])
     length = bisect_right(lengths, rank)
     rank -= lengths[length - 1]
     first = last = origin
     remaining, moves = [], []
+    left = length
     for radix, stride, rows in reversed(axes):
-        distances, starts, divisors = rows[length]
+        distances, starts, divisors = rows[left]
         k = bisect_right(starts, rank) - 1
         x = distances[k]
         rank, place = divmod(rank - starts[k], divisors[k])
@@ -156,24 +163,25 @@ def _draw(rng: random.Random, table, faulty: frozenset[int] = frozenset()):
         last += (low + x - x * flip) * stride
         remaining.append(x)
         moves.append(-stride if flip else stride)
-        length -= x
-    if first in faulty or last in faulty:
-        return None
-    return first, last, moves, _walk(rng, remaining)
+        left -= x
+    return first, last, moves, remaining, length
 
 
 def _check_sampleable(table, faulty: frozenset[int]) -> None:
     """Refuse a scenario whose healthy pairs hold too little of the path weight.
 
-    A fixed-seed pilot must find _PILOT_ACCEPTS pairs with two non-faulty
-    endpoints in _PILOT_DRAWS draws, so the refusal depends on the scenario
-    alone. It is certain below a share of 5e-5, where a sample would need
-    20 000 draws, and never happens above 1e-3.
+    A fixed-seed pilot of rng.randrange ranks, each mapped by _pair_at, must
+    find _PILOT_ACCEPTS pairs with two non-faulty endpoints in _PILOT_DRAWS
+    draws, so the refusal depends on the scenario alone. It is certain below
+    a share of 5e-5, where a sample would need 20 000 draws, and never
+    happens above 1e-3.
     """
     rng = random.Random(0)
+    total = table[0][-1]
     accepted = 0
     for _ in range(_PILOT_DRAWS):
-        accepted += _draw(rng, table, faulty) is not None
+        first, last, *_ = _pair_at(table, rng.randrange(total))
+        accepted += first not in faulty and last not in faulty
         if accepted == _PILOT_ACCEPTS:
             return
     raise ValueError(
@@ -191,23 +199,44 @@ def _tally_range(
     start: int,
     stop: int,
 ) -> int:
-    """Count the hits among samples start to stop - 1; start is a block boundary."""
+    """Count the hits among samples start to stop - 1; start is a block boundary.
+
+    A sample draws a rank below the weight of all pairs as rng.randrange
+    draws it, maps it by _pair_at, and redraws while an endpoint is faulty;
+    then it walks the path as _walk does, inline, and stops at the first node
+    in the avoid set, so a hit leaves the rest of its walk undrawn.
+    """
+    total = table[0][-1]
+    total_bits = total.bit_length()
     hits = 0
     for lo in range(start, stop, _BLOCK):
-        rng = random.Random(seed * _SEED_SPAN + lo // _BLOCK)
+        getrandbits = random.Random(seed * _SEED_SPAN + lo // _BLOCK).getrandbits
         for _ in range(min(_BLOCK, stop - lo)):
-            drawn = _draw(rng, table, faulty)
-            while drawn is None:
-                drawn = _draw(rng, table, faulty)
-            cur, last, moves, axes = drawn
+            while True:
+                rank = getrandbits(total_bits)
+                while rank >= total:
+                    rank = getrandbits(total_bits)
+                cur, last, moves, remaining, left = _pair_at(table, rank)
+                if cur not in faulty and last not in faulty:
+                    break
             if cur in avoid or last in avoid:
                 hits += 1
                 continue
-            for i in axes:
+            while left:
+                bits = left.bit_length()
+                x = getrandbits(bits)
+                while x >= left:
+                    x = getrandbits(bits)
+                i = 0
+                while x >= remaining[i]:
+                    x -= remaining[i]
+                    i += 1
+                remaining[i] -= 1
                 cur += moves[i]
                 if cur in avoid:
                     hits += 1
                     break
+                left -= 1
     return hits
 
 

@@ -117,13 +117,19 @@ def test_separate_rect_entries_analyze_as_one_union(tmp_path, capsys):
 
 
 def test_declared_overlap_of_disjoint_blocks_exits_3(tmp_path, capsys):
-    scenario = (
-        '{"mesh":[10,10],"faults":[{"type":"overlap","blocks":['
-        '{"origin":[1,1],"extents":[1,1]},{"origin":[7,7],"extents":[1,1]}]}]}'
+    overlap = (
+        '{"type":"overlap","blocks":['
+        '{"origin":[1,1],"extents":[1,1]},{"origin":[7,7],"extents":[1,1]}]}'
     )
-    assert cli.main(["analyze", "-s", _write(tmp_path, scenario)]) == 3
-    err = capsys.readouterr().err
-    assert "overlap-disjoint: blocks 0 and 1 neither intersect nor touch" in err
+    rect = '{"type":"rect","origin":[4,4],"extents":[1,1]}'
+    # Alone, and with another entry joining it, which does not excuse it.
+    for faults, where in ((overlap, ""), (f"{overlap},{rect}", " (faults[0])")):
+        scenario = f'{{"mesh":[10,10],"faults":[{faults}]}}'
+        for command in ("analyze", "validate"):
+            assert cli.main([command, "-s", _write(tmp_path, scenario)]) == 3
+            out, err = capsys.readouterr()
+            message = f"overlap-disjoint: blocks 0 and 1 neither intersect nor touch{where}"
+            assert message in out + err, (command, faults)
 
 
 def test_repeated_key_exits_2(tmp_path, capsys):

@@ -15,8 +15,9 @@ from faultring.mesh import MeshShape, padded_index
 from faultring.montecarlo import (
     _BLOCK,
     McConfig,
-    _draw,
+    _pair_at,
     _pair_table,
+    _walk,
     compare_with_exact,
     estimate_p_hit,
     sample_minimal_path,
@@ -151,9 +152,10 @@ def test_pair_draws_follow_path_counts():
     rng = random.Random(31)
     counts = Counter()
     for _ in range(200_000):
-        first, last, moves, axes = _draw(rng, table)
+        first, last, moves, remaining, length = _pair_at(table, rng.randrange(table[0][-1]))
+        assert sum(remaining) == length
         cur = first
-        for i in axes:
+        for i in _walk(rng, remaining):
             cur += moves[i]
         assert cur == last
         if first not in faulty and last not in faulty:
@@ -243,41 +245,41 @@ def test_each_block_of_samples_is_seeded_once(monkeypatch):
     assert len(calls) == math.ceil(samples / _BLOCK) + 1
 
 
-class _FirstRank(random.Random):
-    """A generator seeded with `rank` whose first randrange returns `rank`."""
-
-    def __init__(self, rank: int):
-        super().__init__(rank)
-        self.rank = rank
-
-    def randrange(self, stop: int) -> int:
-        if self.rank is None:
-            return super().randrange(stop)
-        rank, self.rank = self.rank, None
-        assert rank < stop
-        return rank
-
-
 @pytest.mark.parametrize("radices", [(5,), (2, 2), (4, 4), (3, 4, 2), (2, 3, 2, 2)])
 def test_every_rank_names_a_pair_once_per_minimal_path(radices):
-    # Every rank below the table's total weight, fed to _draw, gives an ordered
-    # pair of distinct nodes and a walk from the first to the last; over all
-    # ranks each pair comes up exactly as often as it has minimal paths.
+    # Every rank below the table's total weight, fed to _pair_at, gives an
+    # ordered pair of distinct nodes and a walk of the stated length from the
+    # first to the last; over all ranks each pair comes up exactly as often as
+    # it has minimal paths.
     shape = MeshShape(radices)
     strides = shape.padded_strides()
     node_at = {padded_index(v, strides): v for v in shape.nodes()}
     table = _pair_table(shape)
     counts = Counter()
     for rank in range(table[0][-1]):
-        first, last, moves, axes = _draw(_FirstRank(rank), table)
+        first, last, moves, remaining, length = _pair_at(table, rank)
+        assert length == sum(abs(x - y) for x, y in zip(node_at[first], node_at[last]))
         cur = first
-        for i in axes:
+        for i in _walk(random.Random(rank), remaining):
             cur += moves[i]
         assert cur == last
         counts[first, last] += 1
     assert dict(counts) == {
         (a, b): path_count(node_at[a], node_at[b]) for a in node_at for b in node_at if a != b
     }
+
+
+@pytest.mark.parametrize(
+    "row, obstacle, seed, samples, hits",
+    [(5, "faults", 1, 5000, 4426), (6, "faults", 1, 5000, 4418), (5, "blocked", 2, 3000, 2964)],
+)
+def test_benchmark_estimates_keep_their_sample_streams(row, obstacle, seed, samples, hits):
+    # perfbench's mc workload estimates on these rows at these sample counts;
+    # the hit counts are pinned at one and two workers.
+    shape, complex_ = reference_row(row).build()
+    for workers in (1, 2):
+        config = McConfig(samples=samples, seed=seed, workers=workers)
+        assert estimate_p_hit(shape, complex_, config, obstacle).hit_weight == hits
 
 
 @pytest.mark.parametrize("radices", [reference_row(5).radices, reference_row(6).radices, (12,) * 3])

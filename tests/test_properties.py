@@ -2,8 +2,9 @@
 invariance under the symmetries of the mesh, the closed-form denominator of
 box faults against the engine, the per-axis fold of box-to-box path weights
 against per-pair counts, the sampled cross-check's unranked pairs against the
-walked ones, connectivity and rings against their definitions, and the
-scenario round trip."""
+walked ones, the Monte-Carlo sample loop against a reference loop,
+connectivity and rings against their definitions, and the scenario round
+trip."""
 
 import math
 import random
@@ -14,13 +15,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faultring.faults import ArbitraryFault, OverlapFault, RectFault, build_complex, ring_of
-from faultring.mesh import Box, MeshShape, is_connected, neighbors
-from faultring.montecarlo import McConfig
+from faultring.mesh import Box, MeshShape, is_connected, neighbors, padded_indices
+from faultring.montecarlo import (
+    _BLOCK,
+    _SEED_SPAN,
+    McConfig,
+    _check_sampleable,
+    _pair_at,
+    _pair_table,
+    _tally_range,
+    _walk,
+)
 from faultring.paths import _axis_counts, _fold, avoiding_brute, path_count
 from faultring.reliability import (
     CROSS_CHECKS,
     ENGINES,
     OBSTACLES,
+    _avoid_set,
     _box_weight,
     _free_pairs,
     _pair_sum,
@@ -230,6 +241,71 @@ def test_sampled_pairs_are_the_walked_pairs_of_their_ranks(case):
     step = max(1, free * (free - 1) // 2 // 64)
     walked = list(islice(_free_pairs(shape, avoid), 0, step * 64, step))
     assert list(_sampled_pairs(shape, avoid)) == walked
+
+
+@st.composite
+def tally_cases(draw):
+    """A mesh with n 1..4 and radices 2..6, a fault set of scattered nodes,
+    maybe with a corner and a full-width wall, an obstacle, a seed, and a
+    sample range that starts on a block boundary and, in half the cases,
+    crosses the next one."""
+    n = draw(st.integers(1, 4))
+    shape = MeshShape(tuple(draw(st.integers(2, 6)) for _ in range(n)))
+    nodes = list(shape.nodes())
+    density = draw(st.sampled_from((0.0, 0.05, 0.2, 0.4)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    faults = {v for v in nodes if rng.random() < density}
+    if draw(st.booleans()):
+        faults.add(tuple(draw(st.sampled_from((0, r - 1))) for r in shape.radices))
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, n - 1))
+        x = draw(st.integers(0, shape.radices[axis] - 1))
+        faults |= {v for v in nodes if v[axis] == x}
+    obstacle = draw(st.sampled_from(OBSTACLES))
+    seed = draw(st.integers(0, 2**32))
+    start = _BLOCK * draw(st.integers(0, 3))
+    count = draw(st.one_of(st.integers(1, 64), st.integers(_BLOCK + 1, _BLOCK + 64)))
+    return shape, faults, obstacle, seed, start, start + count
+
+
+def _reference_tally(table, faulty, avoid, seed, start, stop):
+    """The sample loop written plainly: rng.randrange ranks mapped by _pair_at,
+    redrawn while an endpoint is faulty, then _walk up to the first hit."""
+    total = table[0][-1]
+    hits = 0
+    for lo in range(start, stop, _BLOCK):
+        rng = random.Random(seed * _SEED_SPAN + lo // _BLOCK)
+        for _ in range(min(_BLOCK, stop - lo)):
+            first, last, moves, remaining, _ = _pair_at(table, rng.randrange(total))
+            while first in faulty or last in faulty:
+                first, last, moves, remaining, _ = _pair_at(table, rng.randrange(total))
+            if first in avoid or last in avoid:
+                hits += 1
+                continue
+            cur = first
+            for i in _walk(rng, remaining):
+                cur += moves[i]
+                if cur in avoid:
+                    hits += 1
+                    break
+    return hits
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(tally_cases())
+def test_sample_loop_matches_the_reference_loop(case):
+    shape, faults, obstacle, seed, start, stop = case
+    complex_ = build_complex(shape, ArbitraryFault(frozenset(faults)))
+    faulty = padded_indices(shape, complex_.faults)
+    table = _pair_table(shape)
+    assume(shape.node_count - len(faulty) >= 2)
+    try:
+        _check_sampleable(table, faulty)
+    except ValueError:
+        assume(False)
+    avoid = padded_indices(shape, _avoid_set(complex_, obstacle))
+    expected = _reference_tally(table, faulty, avoid, seed, start, stop)
+    assert _tally_range(table, faulty, avoid, seed, start, stop) == expected
 
 
 @st.composite
