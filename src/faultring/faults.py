@@ -256,8 +256,10 @@ def validate_complex(
             )
         )
 
-    single = isinstance(spec, (RectFault, OverlapFault, ArbitraryFault))
-    entries = (spec,) if single else tuple(spec or ())
+    if isinstance(spec, (list, tuple)):
+        entries = tuple(spec)
+    else:
+        entries = () if spec is None else (spec,)
     for k, entry in enumerate(entries):
         if not isinstance(entry, OverlapFault):
             continue

@@ -128,8 +128,9 @@ def test_declared_overlap_of_disjoint_blocks_exits_3(tmp_path, capsys):
         for command in ("analyze", "validate"):
             assert cli.main([command, "-s", _write(tmp_path, scenario)]) == 3
             out, err = capsys.readouterr()
+            stream = out if command == "validate" else err
             message = f"overlap-disjoint: blocks 0 and 1 neither intersect nor touch{where}"
-            assert message in out + err, (command, faults)
+            assert message in stream, (command, faults)
 
 
 def test_repeated_key_exits_2(tmp_path, capsys):
