@@ -44,13 +44,21 @@ _PILOT_ACCEPTS = 20
 
 @dataclass(frozen=True)
 class McConfig:
-    """Estimator settings, and a scenario's "mc" record: its defaults are these."""
+    """Estimator settings, and a scenario's "mc" record: its defaults are these.
+
+    Each field must be an int, not a bool, or ValueError names the field;
+    then samples and workers must be >= 1 and seed >= 0.
+    """
 
     samples: int = 100_000
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("samples", "seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:

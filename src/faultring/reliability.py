@@ -305,13 +305,17 @@ def select_engine(
 ) -> EngineChoice:
     """Pick the miss-path engine for a scenario: "det" on request, "dp" otherwise.
 
+    cross_check None reads as "off"; any other value outside CROSS_CHECKS,
+    an empty string or False included, raises ValueError.
+
     predicted_det_cost is reported, not consulted: the determinant engine
     costs roughly (pairs) * (m + 1)^3 big-integer operations, with m the
     expected number of obstacle nodes inside a random pair's bounding box.
     Both count only the obstacle nodes inside the mesh, as miss_paths does.
     """
     _require_choice("engine", policy, ENGINES)
-    _require_choice("cross_check", cross_check or "off", CROSS_CHECKS)
+    cross_check = "off" if cross_check is None else cross_check
+    _require_choice("cross_check", cross_check, CROSS_CHECKS)
     avoid = _avoid_set(complex_, obstacle)
     # ring_of clips the ring to the mesh, so only fault nodes can lie outside it.
     inside = len(avoid) - sum(not shape.contains(v) for v in complex_.faults)
@@ -324,7 +328,7 @@ def select_engine(
     expected_m = inside * box_fraction
     det_cost = pairs * (expected_m + 1) ** 3
     engine: Engine = "det" if policy == "det" else "dp"
-    return EngineChoice(engine, cross_check or "off", det_cost)
+    return EngineChoice(engine, cross_check, det_cost)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ offending location ("faults[0].extents" and the like) so errors in
 generated files are traceable; a key repeated within any object is
 rejected by name. Bounds are checked here, against the declared mesh, so a bad
 block never reaches the analysis layer.
+
+Each kind of check has one home: _require_keys refuses unknown fields, then
+missing required ones; _int_list refuses a bool or a non-integer, then a value
+below its minimum, for list elements and fields alike; _check_length refuses
+a coordinate list whose length is not the mesh's dimension.
 """
 
 from __future__ import annotations
@@ -92,32 +97,43 @@ class ScenarioConfig:
         return build_complex(self.shape, self.combined_fault())
 
 
-def _require_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
+def _require_keys(
+    obj: dict, allowed: tuple[str, ...], path: str, required: tuple[str, ...] = ()
+) -> None:
     for key in obj:
         if key not in allowed:
             raise ScenarioError(path, f"unknown field {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ScenarioError(path, f"missing field {key!r}")
 
 
-def _int_list(value, path: str, minimum: int | None = None) -> list[int]:
+def _int_list(value, path: str, minimum: int, key: str | None = None) -> list[int]:
+    """value if it is a non-empty list of integers >= minimum, bools refused.
+
+    An element is reported as path[i], or as path.key when value wraps one
+    field's value; the path is formatted only when reported.
+    """
     if not isinstance(value, list) or not value:
         raise ScenarioError(path, "expected a non-empty list of integers")
-    out = []
     for i, x in enumerate(value):
         if isinstance(x, bool) or not isinstance(x, int):
-            raise ScenarioError(f"{path}[{i}]", f"expected an integer, got {x!r}")
-        if minimum is not None and x < minimum:
-            raise ScenarioError(f"{path}[{i}]", f"expected an integer >= {minimum}, got {x}")
-        out.append(x)
-    return out
+            message = f"expected an integer, got {x!r}"
+        elif x < minimum:
+            message = f"expected an integer >= {minimum}, got {x}"
+        else:
+            continue
+        raise ScenarioError(f"{path}[{i}]" if key is None else f"{path}.{key}", message)
+    return value
 
 
 def _int_field(obj: dict, key: str, path: str, minimum: int) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key}", f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise ScenarioError(f"{path}.{key}", f"expected an integer >= {minimum}, got {value}")
-    return value
+    return _int_list([obj[key]], path, minimum, key)[0]
+
+
+def _check_length(values: list, shape: MeshShape, path: str, noun: str) -> None:
+    if len(values) != shape.n:
+        raise ScenarioError(path, f"expected {shape.n} {noun}, got {len(values)}")
 
 
 def _choice_field(obj: dict, key: str, path: str, choices: tuple[str, ...]) -> str:
@@ -130,19 +146,12 @@ def _choice_field(obj: dict, key: str, path: str, choices: tuple[str, ...]) -> s
 
 
 def _parse_rect(obj: dict, shape: MeshShape, path: str) -> RectFault:
-    _require_keys(obj, ("type", "origin", "extents"), path)
-    if "origin" not in obj:
-        raise ScenarioError(path, "missing field 'origin'")
-    if "extents" not in obj:
-        raise ScenarioError(path, "missing field 'extents'")
+    _require_keys(obj, ("type", "origin", "extents"), path, required=("origin", "extents"))
+    # Both lists' elements are checked before either length.
     origin = _int_list(obj["origin"], f"{path}.origin", minimum=0)
     extents = _int_list(obj["extents"], f"{path}.extents", minimum=1)
-    if len(origin) != shape.n:
-        raise ScenarioError(f"{path}.origin", f"expected {shape.n} coordinates, got {len(origin)}")
-    if len(extents) != shape.n:
-        raise ScenarioError(
-            f"{path}.extents", f"expected {shape.n} extents, got {len(extents)}"
-        )
+    _check_length(origin, shape, f"{path}.origin", "coordinates")
+    _check_length(extents, shape, f"{path}.extents", "extents")
     try:
         check_block(shape, origin, extents)
     except ValueError as exc:
@@ -166,11 +175,9 @@ def _parse_fault(obj, shape: MeshShape, path: str) -> FaultSpec:
             sub_path = f"{path}.blocks[{i}]"
             if not isinstance(sub, dict):
                 raise ScenarioError(sub_path, "expected an object")
-            body = dict(sub)
-            body.setdefault("type", "rect")
-            if body["type"] != "rect":
+            if sub.get("type", "rect") != "rect":
                 raise ScenarioError(f"{sub_path}.type", "overlap blocks must be rects")
-            rects.append(_parse_rect(body, shape, sub_path))
+            rects.append(_parse_rect(sub, shape, sub_path))
         return OverlapFault(tuple(rects))
     if kind == "arbitrary":
         _require_keys(obj, ("type", "nodes"), path)
@@ -179,17 +186,12 @@ def _parse_fault(obj, shape: MeshShape, path: str) -> FaultSpec:
             raise ScenarioError(f"{path}.nodes", "expected a non-empty list of coordinates")
         nodes = set()
         for i, item in enumerate(raw):
-            coord = _int_list(item, f"{path}.nodes[{i}]", minimum=0)
-            if len(coord) != shape.n:
-                raise ScenarioError(
-                    f"{path}.nodes[{i}]",
-                    f"expected {shape.n} coordinates, got {len(coord)}",
-                )
+            node_path = f"{path}.nodes[{i}]"
+            coord = _int_list(item, node_path, minimum=0)
+            _check_length(coord, shape, node_path, "coordinates")
             v = tuple(coord)
             if not shape.contains(v):
-                raise ScenarioError(
-                    f"{path}.nodes[{i}]", f"node {v} is outside the mesh"
-                )
+                raise ScenarioError(node_path, f"node {v} is outside the mesh")
             nodes.add(v)
         return ArbitraryFault(frozenset(nodes))
     raise ScenarioError(
@@ -249,9 +251,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError("", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ScenarioError("", "scenario must be a JSON object")
-    _require_keys(raw, ("mesh", "faults", "analysis", "mc"), "scenario")
-    if "mesh" not in raw:
-        raise ScenarioError("scenario", "missing field 'mesh'")
+    _require_keys(raw, ("mesh", "faults", "analysis", "mc"), "scenario", required=("mesh",))
     radices = _int_list(raw["mesh"], "mesh", minimum=2)
     shape = MeshShape(tuple(radices))
 
@@ -272,21 +272,11 @@ def serialize_scenario(config: ScenarioConfig) -> str:
     faults = []
     for spec in config.faults:
         if isinstance(spec, RectFault):
-            faults.append(
-                {"type": "rect", "origin": list(spec.origin), "extents": list(spec.extents)}
-            )
+            faults.append({"type": "rect", **asdict(spec)})
         elif isinstance(spec, OverlapFault):
-            faults.append(
-                {
-                    "type": "overlap",
-                    "blocks": [
-                        {"origin": list(r.origin), "extents": list(r.extents)}
-                        for r in spec.rects
-                    ],
-                }
-            )
+            faults.append({"type": "overlap", "blocks": [asdict(r) for r in spec.rects]})
         else:
-            faults.append({"type": "arbitrary", "nodes": sorted(list(v) for v in spec.nodes)})
+            faults.append({"type": "arbitrary", "nodes": sorted(spec.nodes)})
     payload = {
         "mesh": list(config.shape.radices),
         "faults": faults,

@@ -34,6 +34,9 @@ def test_config_validation():
         McConfig(samples=10, seed=-1)
     with pytest.raises(ValueError):
         McConfig(samples=10, workers=0)
+    for field, value in [("samples", True), ("seed", 4.5), ("workers", 1.5), ("seed", False)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            McConfig(**{field: value})
 
 
 def test_sampled_paths_are_minimal():

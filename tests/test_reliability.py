@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -342,10 +343,13 @@ def test_unknown_engine_name_is_rejected():
 def test_unknown_cross_check_name_is_rejected():
     shape = MeshShape((4, 4))
     complex_ = build_complex(shape, RectFault((1, 1), (1, 1)))
-    with pytest.raises(
-        ValueError, match="unknown cross_check 'bogus'; expected one of off, sample, full"
-    ):
-        compute_reliability(shape, complex_, cross_check="bogus")
+    # Only None reads as "off"; any other falsy value is refused like a bad name.
+    for value in ("bogus", "", 0, False):
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"unknown cross_check {value!r}; expected one of off, sample, full"),
+        ):
+            compute_reliability(shape, complex_, cross_check=value)
 
 
 def test_format_probability_half_even_rounding():

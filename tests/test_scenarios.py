@@ -162,3 +162,123 @@ def test_roundtrip_is_semantically_idempotent():
     assert again == config
     assert serialize_scenario(again) == text
     json.loads(text)  # stays plain JSON
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"mesh":[4,"x"]}', "mesh[1]: expected an integer, got 'x'", id="mesh-type"),
+    pytest.param('{"mesh":[4,1]}', "mesh[1]: expected an integer >= 2, got 1", id="mesh-minimum"),
+    pytest.param('{"faults":[]}', "scenario: missing field 'mesh'", id="mesh-missing"),
+    pytest.param('{"mesh":[4,4],"faults":[{"type":"rect","origin":[0,true],"extents":[1,1]}]}',
+                 "faults[0].origin[1]: expected an integer, got True", id="origin-type"),
+    pytest.param('{"mesh":[4,4,4],"faults":[{"type":"rect","origin":[0,0],"extents":[1,1,1]}]}',
+                 "faults[0].origin: expected 3 coordinates, got 2", id="origin-length"),
+    pytest.param('{"mesh":[4,4],"faults":[{"type":"rect","extents":[1,1]}]}',
+                 "faults[0]: missing field 'origin'", id="origin-missing"),
+    pytest.param('{"mesh":[4,4],"faults":[{"type":"rect","origin":[0,0],"extents":[1,0]}]}',
+                 "faults[0].extents[1]: expected an integer >= 1, got 0", id="extents-minimum"),
+    pytest.param('{"mesh":[4,4],"faults":[{"type":"rect","origin":[0,0],"extents":[1,1,1]}]}',
+                 "faults[0].extents: expected 2 extents, got 3", id="extents-length"),
+    pytest.param('{"mesh":[4,4],"faults":[{"type":"rect","origin":[0,0]}]}',
+                 "faults[0]: missing field 'extents'", id="extents-missing"),
+    # Both lists' elements are checked before either length.
+    pytest.param('{"mesh":[4,4,4],"faults":[{"type":"rect","origin":[0,0],"extents":[1,"a",1]}]}',
+                 "faults[0].extents[1]: expected an integer, got 'a'", id="origin-length-extents-type"),
+    pytest.param('{"mesh":[3,3],"faults":[{"type":"arbitrary","nodes":[[1,1],[0,0,0]]}]}',
+                 "faults[0].nodes[1]: expected 2 coordinates, got 3", id="node-length"),
+    pytest.param('{"mesh":[3,3],"faults":[{"type":"arbitrary","nodes":[[1,1],[3,0]]}]}',
+                 "faults[0].nodes[1]: node (3, 0) is outside the mesh", id="node-outside"),
+    pytest.param('{"mesh":[4,4],"faults":[{"type":"overlap","blocks":['
+                 '{"origin":[0,0],"extents":[1,1]},'
+                 '{"type":"arbitrary","origin":[1,1],"extents":[1,1]}]}]}',
+                 "faults[0].blocks[1].type: overlap blocks must be rects", id="overlap-block-type"),
+    pytest.param('{"mesh":[4,4],"mc":{"samples":0}}',
+                 "mc.samples: expected an integer >= 1, got 0", id="mc-samples"),
+    pytest.param('{"mesh":[4,4],"analysis":{"precision":2.5}}',
+                 "analysis.precision: expected an integer, got 2.5", id="analysis-precision"),
+    pytest.param('{"mesh":[4,4],"analysis":{"budget":-1}}',
+                 "analysis.budget: expected a positive number, got -1", id="analysis-budget"),
+])
+def test_reader_reports_the_exact_message(text, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
+def test_serialized_text_is_pinned():
+    config = parse_scenario(
+        '{"mesh":[6,6],"faults":['
+        '{"type":"rect","origin":[0,1],"extents":[2,1]},'
+        '{"type":"overlap","blocks":[{"origin":[3,3],"extents":[2,2]},'
+        '{"origin":[4,4],"extents":[1,2]}]},'
+        '{"type":"arbitrary","nodes":[[5,0],[0,5]]}],'
+        '"analysis":{"engine":"dp","precision":4},"mc":{"samples":500,"seed":3}}'
+    )
+    assert serialize_scenario(config) == """\
+{
+  "analysis": {
+    "budget": 100000000.0,
+    "engine": "dp",
+    "obstacle": "blocked",
+    "precision": 4
+  },
+  "faults": [
+    {
+      "extents": [
+        2,
+        1
+      ],
+      "origin": [
+        0,
+        1
+      ],
+      "type": "rect"
+    },
+    {
+      "blocks": [
+        {
+          "extents": [
+            2,
+            2
+          ],
+          "origin": [
+            3,
+            3
+          ]
+        },
+        {
+          "extents": [
+            1,
+            2
+          ],
+          "origin": [
+            4,
+            4
+          ]
+        }
+      ],
+      "type": "overlap"
+    },
+    {
+      "nodes": [
+        [
+          0,
+          5
+        ],
+        [
+          5,
+          0
+        ]
+      ],
+      "type": "arbitrary"
+    }
+  ],
+  "mc": {
+    "samples": 500,
+    "seed": 3,
+    "workers": 1
+  },
+  "mesh": [
+    6,
+    6
+  ]
+}"""
