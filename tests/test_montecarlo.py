@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -270,6 +271,82 @@ def test_every_rank_names_a_pair_once_per_minimal_path(radices):
     assert dict(counts) == {
         (a, b): path_count(node_at[a], node_at[b]) for a in node_at for b in node_at if a != b
     }
+
+
+def _placements(radix, x):
+    # A distance 0 sits at one of radix coordinates; a distance x > 0 at one
+    # of radix - x low corners, walked up or down.
+    return 2 * (radix - x) if x else radix
+
+
+def _plain_weights(radices):
+    """weights[j][L]: the path weight of the placements on axes 0..j whose
+    distances sum to L, each weighed by comb(L, x) for its interleavings."""
+    weights, before = [], [1]
+    for radix in radices:
+        row = [0] * (len(before) + radix - 1)
+        for length, x in product(range(len(row)), range(radix)):
+            if 0 <= length - x < len(before):
+                row[length] += before[length - x] * _placements(radix, x) * math.comb(length, x)
+        weights.append(row)
+        before = row
+    return weights
+
+
+def _plain_pair_at(shape, weights, rank):
+    """The rank-to-pair map from its definition, the result _pair_at must give.
+
+    The rank picks the length, then, from the last axis to the first, the
+    distance x among the ascending distances of that axis at the length L
+    left. Less the weight of the distances below x, the rank's quotient by
+    _placements(radix, x) * comb(L, x) is the rank among the axes before, and
+    its remainder modulo _placements(radix, x) the placement: for x > 0, the
+    low corner and whether the pair is flipped (first above last), as
+    divmod(placement, 2)."""
+    radices, strides = shape.radices, shape.padded_strides()
+    length = 1
+    while rank >= weights[-1][length]:
+        rank -= weights[-1][length]
+        length += 1
+    first, last = [0] * shape.n, [0] * shape.n
+    moves, remaining = [], []
+    left = length
+    for j in reversed(range(shape.n)):
+        before = weights[j - 1] if j else [1]
+        for x in range(radices[j]):
+            part = 0
+            if 0 <= left - x < len(before):
+                part = before[left - x] * _placements(radices[j], x) * math.comb(left, x)
+            if rank < part:
+                break
+            rank -= part
+        rank, place = divmod(rank, _placements(radices[j], x) * math.comb(left, x))
+        place %= _placements(radices[j], x)
+        low, flip = divmod(place, 2) if x else (place, 0)
+        first[j], last[j] = (low + x, low) if flip else (low, low + x)
+        moves.append(-strides[j] if flip else strides[j])
+        remaining.append(x)
+        left -= x
+    return padded_index(first, strides), padded_index(last, strides), moves, remaining, length
+
+
+@pytest.mark.parametrize("radices", [(6,), (4, 3), (3, 4, 2), (2, 3, 2, 2), (2, 2, 2, 2, 2)])
+def test_pair_at_is_the_plain_map_at_every_rank(radices):
+    shape = MeshShape(radices)
+    table, weights = _pair_table(shape), _plain_weights(radices)
+    assert table[0][-1] == sum(weights[-1][1:])
+    for rank in range(table[0][-1]):
+        assert _pair_at(table, rank) == _plain_pair_at(shape, weights, rank), rank
+
+
+@pytest.mark.parametrize("radices", [reference_row(5).radices, reference_row(6).radices, (12,) * 3])
+def test_pair_at_is_the_plain_map_at_seeded_ranks(radices):
+    shape = MeshShape(radices)
+    table, weights = _pair_table(shape), _plain_weights(radices)
+    rng = random.Random(17)
+    for _ in range(20_000):
+        rank = rng.randrange(table[0][-1])
+        assert _pair_at(table, rank) == _plain_pair_at(shape, weights, rank), rank
 
 
 @pytest.mark.parametrize(
