@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import lt, mul
 from typing import Iterable, Iterator, Sequence
 
 Coord = tuple[int, ...]
@@ -73,9 +74,16 @@ def padded_index(v: Coord, strides: Sequence[int]) -> int:
 def padded_indices(shape: MeshShape, nodes: Iterable[Coord]) -> frozenset[int]:
     """Padded flat indices of the nodes inside the mesh: the one node numbering
     of the exact engine and the Monte-Carlo estimator. The connectivity search
-    numbers its collapsed mesh the same way."""
+    numbers its collapsed mesh the same way. The bounds rule of
+    MeshShape.contains and the formula of padded_index are written inline
+    rather than called per node."""
     strides = shape.padded_strides()
-    return frozenset(padded_index(v, strides) for v in nodes if shape.contains(v))
+    radices, n, border = shape.radices, shape.n, sum(strides)
+    return frozenset(
+        border + sum(map(mul, v, strides))
+        for v in nodes
+        if len(v) == n and min(v) >= 0 and all(map(lt, v, radices))
+    )
 
 
 def require_node(shape: MeshShape, v: Coord, name: str = "node") -> None:

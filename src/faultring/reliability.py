@@ -162,6 +162,13 @@ def _pair_sum(
     border stands in for missing predecessors. Nodes are flat indices
     throughout: each visiting order is built by adding the padded offsets of
     one axis at a time, walked downward on the axes that d orients -1.
+    `excluded` and `forbidden` are numbered once each, and once in all when
+    they are the same object, as for the numerator.
+
+    A pass relaxes G in place, in its visiting order, from the k = |{i: d_i != 0}|
+    padded offsets of its predecessors. k = 1 to 4 each have a loop written
+    out, g[p] += g[p - a] + g[p - b] for k = 2; larger k, which only n >= 5
+    reaches, loops over the offsets.
     """
     radices = shape.radices
     n = shape.n
@@ -177,7 +184,7 @@ def _pair_sum(
     skip = padded_indices(shape, excluded)
     if shape.node_count - len(skip) < 2:
         return 0  # every pass would count its endpoints less their own count, 0
-    blocked = padded_indices(shape, forbidden)
+    blocked = skip if forbidden is excluded else padded_indices(shape, forbidden)
     ends = [p for p in visiting_order((1,) * n) if p not in skip]
     seed = [0] * (strides[0] * (radices[0] + 2))
     for p in ends:
@@ -199,12 +206,29 @@ def _pair_sum(
             order = [p for p in order if p not in blocked]
         for sign, steps in passes:
             g = seed[:]
-            for p in order:
-                acc = g[p]
-                for step in steps:
-                    acc += g[p - step]
-                g[p] = acc
-            total += sign * (sum(g[p] for p in ends) - len(ends))
+            if len(steps) == 1:
+                (a,) = steps
+                for p in order:
+                    g[p] += g[p - a]
+            elif len(steps) == 2:
+                a, b = steps
+                for p in order:
+                    g[p] += g[p - a] + g[p - b]
+            elif len(steps) == 3:
+                a, b, c = steps
+                for p in order:
+                    g[p] += g[p - a] + g[p - b] + g[p - c]
+            elif len(steps) == 4:
+                a, b, c, e = steps
+                for p in order:
+                    g[p] += g[p - a] + g[p - b] + g[p - c] + g[p - e]
+            else:
+                for p in order:
+                    acc = g[p]
+                    for step in steps:
+                        acc += g[p - step]
+                    g[p] = acc
+            total += sign * (sum(map(g.__getitem__, ends)) - len(ends))
     return total
 
 

@@ -11,6 +11,8 @@ from faultring.mesh import (
     link_count_direct,
     link_count_formula,
     neighbors,
+    padded_index,
+    padded_indices,
 )
 
 
@@ -75,6 +77,17 @@ def test_bounding_box_and_membership():
     assert not box.contains((5, 3))
     assert box.volume == 15
     assert set(box.nodes()) == {(x, y) for x in range(2, 5) for y in range(1, 6)}
+
+
+def test_padded_indices_drop_nodes_outside_the_mesh():
+    shape = MeshShape((3, 4))
+    strides = shape.padded_strides()
+    outside = [(1,), (1, 2, 0), (-1, 2), (1, -1), (3, 0), (0, 4), (3, 4)]
+    assert padded_indices(shape, outside) == frozenset()
+    inside = list(shape.nodes())
+    expected = frozenset(padded_index(v, strides) for v in inside)
+    assert len(expected) == shape.node_count
+    assert padded_indices(shape, inside + outside) == expected
 
 
 def test_is_connected_simple_cases():

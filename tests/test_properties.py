@@ -52,9 +52,11 @@ MAX_NODES = 40
 
 @st.composite
 def scenarios(draw):
-    """A mesh of at most MAX_NODES nodes, radices 2..5, and any fault set
-    leaving at least two healthy nodes (corners and borders included)."""
-    n = draw(st.integers(1, 4))
+    """A mesh of at most MAX_NODES nodes, n 1..5, radices 2..5, and any fault
+    set leaving at least two healthy nodes (corners and borders included).
+    n = 5 leaves room only for the radix-2 5-cube, whose passes relax up to
+    five predecessors per node."""
+    n = draw(st.integers(1, 5))
     radices: list[int] = []
     for i in range(n):
         room = MAX_NODES // (math.prod(radices) * 2 ** (n - i - 1))

@@ -311,6 +311,7 @@ def test_select_engine_counts_only_obstacle_nodes_inside_the_mesh():
     choice = select_engine(shape, complex_, policy="det", obstacle="faults")
     assert choice.predicted_det_cost > 0
     assert miss_paths(shape, complex_, "det", obstacle="faults") == 1
+    assert miss_paths(shape, complex_, "dp", obstacle="faults") == 1
 
 
 def test_predicted_cost_counts_cells_of_both_sums():
