@@ -11,8 +11,10 @@ ordered pairs, a rank, names a pair through small per-axis tables
 picks the path length, and one per axis from the last to the second picks
 that axis's distance, while axis 0 takes the length and the rank left over.
 One of the pair's paths is then walked uniformly, one move at a time, inline
-in the sample loop, which stops at the first node in the avoid set. A pair
-with a faulty endpoint is redrawn; a scenario where that would stall is
+in the sample loop, which stops at the first node in the avoid set; on 2, 3
+and 4 axes the walk holds each axis's moves left in a local variable, with a
+loop written out for that axis count, and on any other it scans a list. A
+pair with a faulty endpoint is redrawn; a scenario where that would stall is
 refused up front. _walk is the same walk as a generator, for
 sample_minimal_path.
 
@@ -34,7 +36,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from faultring.faults import FaultComplex
-from faultring.mesh import Coord, MeshShape, padded_indices
+from faultring.mesh import Coord, MeshShape, delta, padded_indices
 from faultring.paths import _axis_counts, _fold
 from faultring.reliability import Obstacle, _avoid_set, compute_reliability
 
@@ -96,8 +98,9 @@ def _walk(rng: random.Random, remaining: list[int]) -> Iterator[int]:
     remaining[i] moves along axis i, consuming `remaining`: the next move is
     along axis i with probability remaining[i] / left, x drawn as
     rng.randrange(left) draws it, without its argument checks, which cost more.
-    _tally_range inlines this walk draw for draw, so its sample stream is the
-    one this generator gives."""
+    _tally_range inlines this walk draw for draw, with the counts held in
+    locals on 2 to 4 axes and this list scan on any other axis count, so its
+    sample stream is the one this generator gives."""
     for left in range(sum(remaining), 0, -1):
         k = left.bit_length()
         x = rng.getrandbits(k)
@@ -112,11 +115,15 @@ def _walk(rng: random.Random, remaining: list[int]) -> Iterator[int]:
 
 
 def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
-    """Draw a uniformly random minimal path from a to b, inclusive of both."""
+    """Draw a uniformly random minimal path from a to b, inclusive of both.
+
+    Raises ValueError when a and b differ in dimension, as mesh.delta does.
+    """
+    remaining = list(delta(a, b))
     steps = [1 if y >= x else -1 for x, y in zip(a, b)]
     cur = list(a)
     path = [tuple(a)]
-    for i in _walk(rng, [abs(y - x) for x, y in zip(a, b)]):
+    for i in _walk(rng, remaining):
         cur[i] += steps[i]
         path.append(tuple(cur))
     return path
@@ -246,11 +253,22 @@ def _tally_range(
     A sample draws a rank below the weight of all pairs as rng.randrange
     draws it, maps it by _pair_at, and redraws while an endpoint is faulty;
     then it walks the path as _walk does, inline, and stops at the first node
-    in the avoid set, so a hit leaves the rest of its walk undrawn.
+    in the avoid set, so a hit leaves the rest of its walk undrawn. An
+    endpoint in the avoid set is a hit with no walk at all; when the avoid set
+    lies within the fault set (obstacle="faults"), no endpoint left by the
+    redraws can be in it, and that lookup is skipped.
+
+    The walk has one loop per axis count 2, 3 and 4, which holds the moves
+    left along each axis, and each axis's flat step, in local variables and
+    picks the axis by comparing x with them (x < a, then x - a < b, ...);
+    every other axis count scans the lists _pair_at returns. Each loop picks
+    the axis the scan would, so the stream does not depend on which one runs.
     """
     total = table[0][-1]
     total_bits = total.bit_length()
     bits = table[-1]
+    n = len(table[1]) + 1
+    check_ends = not avoid <= faulty
     hits = 0
     for lo in range(start, stop, _BLOCK):
         getrandbits = random.Random(seed * _SEED_SPAN + lo // _BLOCK).getrandbits
@@ -262,23 +280,82 @@ def _tally_range(
                 cur, last, moves, remaining, length = _pair_at(table, rank)
                 if cur not in faulty and last not in faulty:
                     break
-            if cur in avoid or last in avoid:
+            if check_ends and (cur in avoid or last in avoid):
                 hits += 1
                 continue
-            for left in range(length, 0, -1):
-                k = bits[left]
-                x = getrandbits(k)
-                while x >= left:
+            # The last axis's count is never read: x past the others picks it.
+            if n == 3:
+                a, b, _ = remaining
+                ma, mb, mc = moves
+                for left in range(length, 0, -1):
+                    k = bits[left]
                     x = getrandbits(k)
-                i = 0
-                while x >= remaining[i]:
-                    x -= remaining[i]
-                    i += 1
-                remaining[i] -= 1
-                cur += moves[i]
-                if cur in avoid:
-                    hits += 1
-                    break
+                    while x >= left:
+                        x = getrandbits(k)
+                    if x < a:
+                        a -= 1
+                        cur += ma
+                    elif x - a < b:
+                        b -= 1
+                        cur += mb
+                    else:
+                        cur += mc
+                    if cur in avoid:
+                        hits += 1
+                        break
+            elif n == 4:
+                a, b, c, _ = remaining
+                ma, mb, mc, md = moves
+                for left in range(length, 0, -1):
+                    k = bits[left]
+                    x = getrandbits(k)
+                    while x >= left:
+                        x = getrandbits(k)
+                    if x < a:
+                        a -= 1
+                        cur += ma
+                    elif x - a < b:
+                        b -= 1
+                        cur += mb
+                    elif x - a - b < c:
+                        c -= 1
+                        cur += mc
+                    else:
+                        cur += md
+                    if cur in avoid:
+                        hits += 1
+                        break
+            elif n == 2:
+                a, _ = remaining
+                ma, mb = moves
+                for left in range(length, 0, -1):
+                    k = bits[left]
+                    x = getrandbits(k)
+                    while x >= left:
+                        x = getrandbits(k)
+                    if x < a:
+                        a -= 1
+                        cur += ma
+                    else:
+                        cur += mb
+                    if cur in avoid:
+                        hits += 1
+                        break
+            else:
+                for left in range(length, 0, -1):
+                    k = bits[left]
+                    x = getrandbits(k)
+                    while x >= left:
+                        x = getrandbits(k)
+                    i = 0
+                    while x >= remaining[i]:
+                        x -= remaining[i]
+                        i += 1
+                    remaining[i] -= 1
+                    cur += moves[i]
+                    if cur in avoid:
+                        hits += 1
+                        break
     return hits
 
 

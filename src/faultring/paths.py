@@ -178,13 +178,14 @@ def avoiding_dp(a: Coord, b: Coord, forbidden: Iterable[Coord]) -> int:
 
     Cells are processed outward from a; each cell sums its predecessors, with
     forbidden cells pinned to zero. Independent of the determinant engine.
+    Raises ValueError when a and b differ in dimension, as mesh.delta does.
     """
+    sizes = tuple(d + 1 for d in delta(a, b))
     blocked = set(forbidden)
     if a == b:
         return 0 if a in blocked else 1
     n = len(a)
     steps = tuple(1 if b[i] >= a[i] else -1 for i in range(n))
-    sizes = tuple(abs(b[i] - a[i]) + 1 for i in range(n))
     local = [1] * n
     for i in range(n - 2, -1, -1):
         local[i] = local[i + 1] * sizes[i + 1]

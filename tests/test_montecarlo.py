@@ -57,6 +57,21 @@ def test_sampled_paths_are_minimal():
             assert all(min(x, y) <= c <= max(x, y) for c, x, y in zip(v, a, b))
 
 
+def test_sampled_path_refuses_endpoints_of_different_dimension():
+    # zip would truncate the longer endpoint, ending the path at (2, 2, 0).
+    for a, b in [((0, 0, 0), (2, 2)), ((2, 2), (0, 0, 0))]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sample_minimal_path(random.Random(5), a, b)
+    # Valid endpoints draw the paths they drew before the check (literals
+    # computed before it was added).
+    assert sample_minimal_path(random.Random(5), (0, 0, 0), (2, 3, 1)) == [
+        (0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 3, 1), (1, 3, 1), (2, 3, 1)
+    ]
+    assert sample_minimal_path(random.Random(5), (4, 1), (1, 3)) == [
+        (4, 1), (4, 2), (3, 2), (3, 3), (2, 3), (1, 3)
+    ]
+
+
 def test_estimate_is_deterministic_per_seed():
     shape = MeshShape((6, 6))
     complex_ = build_complex(shape, RectFault((2, 2), (2, 1)))
@@ -337,6 +352,31 @@ def test_pair_at_is_the_plain_map_at_every_rank(radices):
     assert table[0][-1] == sum(weights[-1][1:])
     for rank in range(table[0][-1]):
         assert _pair_at(table, rank) == _plain_pair_at(shape, weights, rank), rank
+
+
+ROW_10 = reference_row(10)
+
+
+@pytest.mark.parametrize(
+    "radices, origin, extents, obstacle, hits",
+    [
+        (ROW_10.radices, ROW_10.origin, ROW_10.extents, "faults", 151),
+        (ROW_10.radices, ROW_10.origin, ROW_10.extents, "blocked", 3395),
+        ((40,), (0,), (3,), "blocked", 255),
+    ],
+)
+def test_estimates_keep_their_sample_streams_off_the_benchmark_axis_counts(
+    radices, origin, extents, obstacle, hits
+):
+    # The sample loop walks 2-, 3- and 4-D meshes with loops of their own;
+    # 5-D row 10 and the 1-D mesh take the list scan. The hit counts, at
+    # 5000 samples and seed 1, were computed before those loops were written,
+    # and are pinned at one and two workers.
+    shape = MeshShape(radices)
+    complex_ = build_complex(shape, RectFault(origin, extents))
+    for workers in (1, 2):
+        config = McConfig(samples=5000, seed=1, workers=workers)
+        assert estimate_p_hit(shape, complex_, config, obstacle).hit_weight == hits
 
 
 @pytest.mark.parametrize("radices", [reference_row(5).radices, reference_row(6).radices, (12,) * 3])

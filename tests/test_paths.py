@@ -104,6 +104,20 @@ def test_avoiding_blocked_endpoint_behavior():
     assert avoiding_brute((0, 0), (2, 2), [(2, 2)]) == 0
 
 
+@pytest.mark.parametrize("a, b", [((0, 0, 0), (2, 2)), ((2, 2), (0, 0, 0)), ((1,), (1, 1))])
+def test_every_engine_refuses_endpoints_of_different_dimension(a, b):
+    # zip would truncate the longer endpoint and count paths to another node.
+    counts = [
+        lambda: path_count(a, b),
+        lambda: avoiding_det(a, b, []),
+        lambda: avoiding_dp(a, b, set()),
+        lambda: avoiding_brute(a, b, set()),
+    ]
+    for count in counts:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            count()
+
+
 def test_avoiding_full_cut_gives_zero():
     # anti-diagonal wall cuts every monotone route
     wall = [(0, 2), (1, 1), (2, 0)]
