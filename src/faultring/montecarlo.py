@@ -11,8 +11,8 @@ ordered pairs, a rank, names a pair through small per-axis tables
 picks the path length, and one per axis from the last to the second picks
 that axis's distance, while axis 0 takes the length and the rank left over.
 One of the pair's paths is then walked uniformly, one move at a time, inline
-in the sample loop, which stops at the first node in the avoid set; on 2, 3
-and 4 axes the walk holds each axis's moves left in a local variable, with a
+in the sample loop, which stops at the first node in the avoid set; on 3 and
+4 axes the walk holds each axis's moves left in a local variable, with a
 loop written out for that axis count, and on any other it scans a list. A
 pair with a faulty endpoint is redrawn; a scenario where that would stall is
 refused up front. _walk is the same walk as a generator, for
@@ -99,7 +99,7 @@ def _walk(rng: random.Random, remaining: list[int]) -> Iterator[int]:
     along axis i with probability remaining[i] / left, x drawn as
     rng.randrange(left) draws it, without its argument checks, which cost more.
     _tally_range inlines this walk draw for draw, with the counts held in
-    locals on 2 to 4 axes and this list scan on any other axis count, so its
+    locals on 3 and 4 axes and this list scan on any other axis count, so its
     sample stream is the one this generator gives."""
     for left in range(sum(remaining), 0, -1):
         k = left.bit_length()
@@ -258,7 +258,7 @@ def _tally_range(
     lies within the fault set (obstacle="faults"), no endpoint left by the
     redraws can be in it, and that lookup is skipped.
 
-    The walk has one loop per axis count 2, 3 and 4, which holds the moves
+    The walk has one loop per axis count 3 and 4, which holds the moves
     left along each axis, and each axis's flat step, in local variables and
     picks the axis by comparing x with them (x < a, then x - a < b, ...);
     every other axis count scans the lists _pair_at returns. Each loop picks
@@ -322,22 +322,6 @@ def _tally_range(
                         cur += mc
                     else:
                         cur += md
-                    if cur in avoid:
-                        hits += 1
-                        break
-            elif n == 2:
-                a, _ = remaining
-                ma, mb = moves
-                for left in range(length, 0, -1):
-                    k = bits[left]
-                    x = getrandbits(k)
-                    while x >= left:
-                        x = getrandbits(k)
-                    if x < a:
-                        a -= 1
-                        cur += ma
-                    else:
-                        cur += mb
                     if cur in avoid:
                         hits += 1
                         break

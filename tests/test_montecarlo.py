@@ -354,31 +354,6 @@ def test_pair_at_is_the_plain_map_at_every_rank(radices):
         assert _pair_at(table, rank) == _plain_pair_at(shape, weights, rank), rank
 
 
-ROW_10 = reference_row(10)
-
-
-@pytest.mark.parametrize(
-    "radices, origin, extents, obstacle, hits",
-    [
-        (ROW_10.radices, ROW_10.origin, ROW_10.extents, "faults", 151),
-        (ROW_10.radices, ROW_10.origin, ROW_10.extents, "blocked", 3395),
-        ((40,), (0,), (3,), "blocked", 255),
-    ],
-)
-def test_estimates_keep_their_sample_streams_off_the_benchmark_axis_counts(
-    radices, origin, extents, obstacle, hits
-):
-    # The sample loop walks 2-, 3- and 4-D meshes with loops of their own;
-    # 5-D row 10 and the 1-D mesh take the list scan. The hit counts, at
-    # 5000 samples and seed 1, were computed before those loops were written,
-    # and are pinned at one and two workers.
-    shape = MeshShape(radices)
-    complex_ = build_complex(shape, RectFault(origin, extents))
-    for workers in (1, 2):
-        config = McConfig(samples=5000, seed=1, workers=workers)
-        assert estimate_p_hit(shape, complex_, config, obstacle).hit_weight == hits
-
-
 @pytest.mark.parametrize("radices", [reference_row(5).radices, reference_row(6).radices, (12,) * 3])
 def test_pair_at_is_the_plain_map_at_seeded_ranks(radices):
     shape = MeshShape(radices)
@@ -389,14 +364,32 @@ def test_pair_at_is_the_plain_map_at_seeded_ranks(radices):
         assert _pair_at(table, rank) == _plain_pair_at(shape, weights, rank), rank
 
 
+# A 40-node line with a 3-node block at one end: no reference row has one axis.
+LINE = ((40,), (0,), (3,))
+
+
 @pytest.mark.parametrize(
     "row, obstacle, seed, samples, hits",
-    [(5, "faults", 1, 5000, 4426), (6, "faults", 1, 5000, 4418), (5, "blocked", 2, 3000, 2964)],
+    [
+        (5, "faults", 1, 5000, 4426),
+        (6, "faults", 1, 5000, 4418),
+        (5, "blocked", 2, 3000, 2964),
+        (10, "faults", 1, 5000, 151),
+        (10, "blocked", 1, 5000, 3395),
+        pytest.param(LINE, "blocked", 1, 5000, 255, id="line-blocked-1-5000-255"),
+    ],
 )
 def test_benchmark_estimates_keep_their_sample_streams(row, obstacle, seed, samples, hits):
-    # perfbench's mc workload estimates on these rows at these sample counts;
-    # the hit counts are pinned at one and two workers.
-    shape, complex_ = reference_row(row).build()
+    # perfbench's mc workload estimates on rows 5 and 6 at these sample
+    # counts, and the sample loop walks their 3 and 4 axes with loops of their
+    # own; 5-D row 10 and the line take the list scan. The hit counts are
+    # pinned at one and two workers.
+    if isinstance(row, int):
+        shape, complex_ = reference_row(row).build()
+    else:
+        radices, origin, extents = row
+        shape = MeshShape(radices)
+        complex_ = build_complex(shape, RectFault(origin, extents))
     for workers in (1, 2):
         config = McConfig(samples=samples, seed=seed, workers=workers)
         assert estimate_p_hit(shape, complex_, config, obstacle).hit_weight == hits
