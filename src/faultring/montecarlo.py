@@ -10,19 +10,25 @@ ordered pairs, a rank, names a pair through small per-axis tables
 (_pair_at), each pair by as many ranks as it has minimal paths: one bisection
 picks the path length, and one per axis from the last to the second picks
 that axis's distance, while axis 0 takes the length and the rank left over.
-One of the pair's paths is then walked uniformly, one move at a time, inline
-in the sample loop, which stops at the first node in the avoid set; on 3 and
-4 axes the walk holds each axis's moves left in a local variable, with a
-loop written out for that axis count, and on any other it scans a list. A
-pair with a faulty endpoint is redrawn; a scenario where that would stall is
-refused up front. _walk is the same walk as a generator, for
-sample_minimal_path.
+What is left of the rank at each axis, modulo the ways to place that
+distance, indexes the axis's placement tables, which hold the endpoints'
+offsets and the signed step. The tables are built once per mesh shape and
+kept for the next estimate on it. One of the pair's paths is then walked
+uniformly, one move at a time, inline in the sample loop, which stops at the
+first node in the avoid set; on 3 and 4 axes the loop decodes the pair
+inline too, and the walk holds each axis's moves left in a local variable,
+with a loop written out for that axis count; on any other it calls _pair_at
+and scans a list. A pair with a faulty endpoint is redrawn; a scenario where
+that would stall is refused up front. _walk is the same walk as a
+generator, for sample_minimal_path.
 
 Determinism: samples come in fixed blocks of _BLOCK consecutive indices, and
 block b draws all of its samples, in order, from one generator seeded from
 (seed, b). Workers split the index range on block boundaries only, so the
 estimate is bit-identical for a given (seed, samples) regardless of worker
 count, and the first S samples are the same whatever the sample count.
+A worker's job names the mesh shape, not the table, which a forked worker
+inherits from the cache rather than unpickling a copy.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
@@ -98,9 +105,10 @@ def _walk(rng: random.Random, remaining: list[int]) -> Iterator[int]:
     remaining[i] moves along axis i, consuming `remaining`: the next move is
     along axis i with probability remaining[i] / left, x drawn as
     rng.randrange(left) draws it, without its argument checks, which cost more.
-    _tally_range inlines this walk draw for draw, with the counts held in
-    locals on 3 and 4 axes and this list scan on any other axis count, so its
-    sample stream is the one this generator gives."""
+    _tally_range inlines this walk draw for draw, taking each left and its
+    bit length from the pair table's last `length` steps, with the counts
+    held in locals on 3 and 4 axes and this list scan on any other axis
+    count, so its sample stream is the one this generator gives."""
     for left in range(sum(remaining), 0, -1):
         k = left.bit_length()
         x = rng.getrandbits(k)
@@ -129,8 +137,33 @@ def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
     return path
 
 
+def _placements(radix: int, stride: int, origin: int = 0):
+    """Per distance x along one axis, c(x) and, indexed by placement, the
+    first endpoint's offset, the last endpoint's offset and the signed step:
+    coordinate p and +stride for x = 0; for x > 0 the low corner p >> 1,
+    walked up, or flipped (p & 1) and walked down. An offset is
+    origin + coordinate * stride. Every entry is one of the axis's radix
+    offsets or of its two step ints, so the lists hold references, not new
+    ints: 6.4 MiB for the three axes of a 300x300x300 mesh."""
+    offsets = [origin + i * stride for i in range(radix)]
+    places = [(radix, offsets, offsets, [stride] * radix)]
+    steps = [stride, -stride]
+    for x in range(1, radix):
+        ways = 2 * (radix - x)
+        firsts, lasts = [0] * ways, [0] * ways
+        firsts[::2] = lasts[1::2] = offsets[: radix - x]
+        firsts[1::2] = lasts[::2] = offsets[x:]
+        places.append((ways, firsts, lasts, steps * (radix - x)))
+    return places
+
+
+@lru_cache(maxsize=2)
 def _pair_table(shape: MeshShape):
-    """Per-axis tables of the path weight of the ordered pairs of distinct nodes.
+    """Per-axis tables of the path weight of the ordered pairs of distinct
+    nodes, built once per mesh shape and kept for the two shapes used last:
+    a second estimate on a shape skips the build (0.4 s on 300x300x300),
+    and a pool worker forked after it finds the table (see _tally_shape).
+    Every caller gets the same table, so nothing may change it.
 
     Axis j places a distance 0 in c_j(0) = r_j ways and a distance x > 0 in
     c_j(x) = 2 (r_j - x), a low corner and a flip. The weight is folded one
@@ -139,12 +172,14 @@ def _pair_table(shape: MeshShape):
     weights[L - x] * c_j(x) * comb(L, x) for ascending distances x.
 
     Returns the weight below each length from 1 on, and of all pairs; the
-    axes from the last to the second, each as its padded stride, c_j(x) for
-    every x and, per length L, the weight below each distance and of all,
-    the least distance, and the divisors c_j(x) * comb(L, x), each its part
-    divided exactly by weights[L - x]; axis 0's padded stride alone, since
-    axis 0 takes the length and the rank left over (see _pair_at); the
-    padded index of node 0; and the bit length of every length, for the walk.
+    axes from the last to the second, each as, per length L, the weight below
+    each distance and of all, the least distance, and the divisors
+    c_j(x) * comb(L, x), each its part divided exactly by weights[L - x],
+    with the axis's placement tables (_placements) on its padded stride;
+    axis 0's placement tables alone, their offsets counted from the padded
+    index of node 0, since axis 0 takes the length and the rank left over
+    (see _pair_at); and (left, bit length) from the longest length down to
+    1, whose last L entries drive the walk of a path of length L.
     """
     strides = shape.padded_strides()
     folds, weights = _fold(_axis_counts(0, r - 1, 0, r - 1) for r in shape.radices)
@@ -155,11 +190,11 @@ def _pair_table(shape: MeshShape):
             least = max(0, length + 1 - len(before))
             divisors = [p // before[length - x] for x, p in enumerate(parts, least)]
             table.append((list(accumulate(parts, initial=0)), least, divisors))
-        counts = [radix] + [2 * (radix - x) for x in range(1, radix)]
-        axes.append((stride, counts, table))
+        axes.append((table, _placements(radix, stride)))
+    first_axis = _placements(shape.radices[0], strides[0], sum(strides))
     lengths = list(accumulate(weights[1:], initial=0))
-    bits = [length.bit_length() for length in range(len(lengths))]
-    return lengths, axes[::-1], strides[0], sum(strides), bits
+    steps = tuple((left, left.bit_length()) for left in range(len(lengths) - 1, 0, -1))
+    return lengths, axes[::-1], first_axis, steps
 
 
 def _pair_at(table, rank: int):
@@ -167,53 +202,40 @@ def _pair_at(table, rank: int):
     pairs names; every pair is named by as many ranks as it has minimal paths.
 
     Returns the endpoints' padded flat indices, the signed flat step of each
-    axis and the number of moves left along each axis (a list the walk may
-    consume), both from the last axis to the first, and the path length.
+    axis and the number of moves left along each axis (a new list the walk
+    may consume), both from the last axis to the first, and the path length.
     Bisection maps the rank to a length, then, from the last axis to the
     second, to a distance x. Less the weight below x, the rank's quotient by
     x's divisor is the rank among the axes before, and its remainder modulo
-    c_j(x), which divides the divisor, is the placement: the low corner
-    (placement >> 1) and the flip (placement & 1), or for x = 0 the
-    coordinate. Axis 0's row at the length left holds that one distance,
-    and the rank left lies below its divisor, c_0(x): axis 0 takes both
-    without a search. The path itself is a further draw: _walk, or its
-    inline copy in _tally_range."""
-    lengths, axes, stride, origin, _ = table
+    c_j(x), which divides the divisor, is the placement, which indexes the
+    axis's tables at x. Axis 0's row at the length left holds that one
+    distance, and the rank left lies below its divisor, c_0(x): it is axis
+    0's placement, found without a search. The path itself is a further
+    draw: _walk, or its inline copy in _tally_range, which also decodes
+    pairs inline on 3 and 4 axes."""
+    lengths, axes, first_axis, _ = table
     length = bisect_right(lengths, rank)
     rank -= lengths[length - 1]
-    first = last = origin
+    first = last = 0
     remaining, moves = [], []
     left = length
-    for step, counts, rows in axes:
+    for rows, places in axes:
         starts, least, divisors = rows[left]
         k = bisect_right(starts, rank) - 1
         x = least + k
         rank -= starts[k]
-        place = rank % counts[x]
+        ways, firsts, lasts, signed = places[x]
+        place = rank % ways
         rank //= divisors[k]
-        # Branches, not axis 0's arithmetic form below: this runs once per
-        # axis, and on rows 5 and 6 the branches take 7-8% off the tally.
-        if x:
-            low = (place >> 1) * step
-            if place & 1:  # flipped: the path runs down this axis
-                first += low + x * step
-                last += low
-                step = -step
-            else:
-                first += low
-                last += low + x * step
-            left -= x
-        else:
-            first += place * step
-            last += place * step
+        first += firsts[place]
+        last += lasts[place]
         remaining.append(x)
-        moves.append(step)
-    low, flip = (rank >> 1, rank & 1) if left else (rank, 0)
-    first += (low + left * flip) * stride
-    last += (low + left - left * flip) * stride
+        moves.append(signed[place])
+        left -= x
+    _, firsts, lasts, signed = first_axis[left]
     remaining.append(left)
-    moves.append(-stride if flip else stride)
-    return first, last, moves, remaining, length
+    moves.append(signed[rank])
+    return first + firsts[rank], last + lasts[rank], moves, remaining, length
 
 
 def _check_sampleable(table, faulty: frozenset[int]) -> None:
@@ -251,23 +273,30 @@ def _tally_range(
     """Count the hits among samples start to stop - 1; start is a block boundary.
 
     A sample draws a rank below the weight of all pairs as rng.randrange
-    draws it, maps it by _pair_at, and redraws while an endpoint is faulty;
-    then it walks the path as _walk does, inline, and stops at the first node
-    in the avoid set, so a hit leaves the rest of its walk undrawn. An
-    endpoint in the avoid set is a hit with no walk at all; when the avoid set
-    lies within the fault set (obstacle="faults"), no endpoint left by the
-    redraws can be in it, and that lookup is skipped.
+    draws it, maps it to its pair as _pair_at does, and redraws while an
+    endpoint is faulty; then it walks the path as _walk does, inline, and
+    stops at the first node in the avoid set, so a hit leaves the rest of its
+    walk undrawn. An endpoint in the avoid set is a hit with no walk at all;
+    when the avoid set lies within the fault set (obstacle="faults"), no
+    endpoint left by the redraws can be in it, and that lookup is skipped.
 
-    The walk has one loop per axis count 3 and 4, which holds the moves
-    left along each axis, and each axis's flat step, in local variables and
-    picks the axis by comparing x with them (x < a, then x - a < b, ...);
-    every other axis count scans the lists _pair_at returns. Each loop picks
-    the axis the scan would, so the stream does not depend on which one runs.
+    On 3 and 4 axes the pair is decoded inline, each axis's placement read
+    from its tables at the distance drawn, and the walk has a loop of its
+    own, which holds the moves left along each axis, and each axis's flat
+    step, in local variables and picks the axis by comparing x with them
+    (x < a, then x - a < b, ...); every other axis count calls _pair_at and
+    scans the lists it returns. Each loop picks the pair and the axis
+    _pair_at and the scan would, so the stream does not depend on which one
+    runs. The table is only read.
     """
-    total = table[0][-1]
+    lengths, axes, first_axis, steps = table
+    total = lengths[-1]
     total_bits = total.bit_length()
-    bits = table[-1]
-    n = len(table[1]) + 1
+    n = len(axes) + 1
+    if n == 3:
+        (rows_a, places_a), (rows_b, places_b) = axes
+    elif n == 4:
+        (rows_a, places_a), (rows_b, places_b), (rows_c, places_c) = axes
     check_ends = not avoid <= faulty
     hits = 0
     for lo in range(start, stop, _BLOCK):
@@ -277,18 +306,67 @@ def _tally_range(
                 rank = getrandbits(total_bits)
                 while rank >= total:
                     rank = getrandbits(total_bits)
-                cur, last, moves, remaining, length = _pair_at(table, rank)
+                if n == 3:
+                    length = bisect_right(lengths, rank)
+                    rank -= lengths[length - 1]
+                    starts, least, divisors = rows_a[length]
+                    k = bisect_right(starts, rank) - 1
+                    rank -= starts[k]
+                    a = least + k
+                    ways, fa, la, sa = places_a[a]
+                    p = rank % ways
+                    rank //= divisors[k]
+                    left = length - a
+                    starts, least, divisors = rows_b[left]
+                    k = bisect_right(starts, rank) - 1
+                    rank -= starts[k]
+                    b = least + k
+                    ways, fb, lb, sb = places_b[b]
+                    q = rank % ways
+                    rank //= divisors[k]
+                    _, f0, l0, s0 = first_axis[left - b]
+                    cur = fa[p] + fb[q] + f0[rank]
+                    last = la[p] + lb[q] + l0[rank]
+                elif n == 4:
+                    length = bisect_right(lengths, rank)
+                    rank -= lengths[length - 1]
+                    starts, least, divisors = rows_a[length]
+                    k = bisect_right(starts, rank) - 1
+                    rank -= starts[k]
+                    a = least + k
+                    ways, fa, la, sa = places_a[a]
+                    p = rank % ways
+                    rank //= divisors[k]
+                    left = length - a
+                    starts, least, divisors = rows_b[left]
+                    k = bisect_right(starts, rank) - 1
+                    rank -= starts[k]
+                    b = least + k
+                    ways, fb, lb, sb = places_b[b]
+                    q = rank % ways
+                    rank //= divisors[k]
+                    left -= b
+                    starts, least, divisors = rows_c[left]
+                    k = bisect_right(starts, rank) - 1
+                    rank -= starts[k]
+                    c = least + k
+                    ways, fc, lc, sc = places_c[c]
+                    u = rank % ways
+                    rank //= divisors[k]
+                    _, f0, l0, s0 = first_axis[left - c]
+                    cur = fa[p] + fb[q] + fc[u] + f0[rank]
+                    last = la[p] + lb[q] + lc[u] + l0[rank]
+                else:
+                    cur, last, moves, remaining, length = _pair_at(table, rank)
                 if cur not in faulty and last not in faulty:
                     break
             if check_ends and (cur in avoid or last in avoid):
                 hits += 1
                 continue
-            # The last axis's count is never read: x past the others picks it.
+            # Axis 0's count is never read: x past the others picks it.
             if n == 3:
-                a, b, _ = remaining
-                ma, mb, mc = moves
-                for left in range(length, 0, -1):
-                    k = bits[left]
+                ma, mb, mc = sa[p], sb[q], s0[rank]
+                for left, k in steps[-length:]:
                     x = getrandbits(k)
                     while x >= left:
                         x = getrandbits(k)
@@ -304,10 +382,8 @@ def _tally_range(
                         hits += 1
                         break
             elif n == 4:
-                a, b, c, _ = remaining
-                ma, mb, mc, md = moves
-                for left in range(length, 0, -1):
-                    k = bits[left]
+                ma, mb, mc, md = sa[p], sb[q], sc[u], s0[rank]
+                for left, k in steps[-length:]:
                     x = getrandbits(k)
                     while x >= left:
                         x = getrandbits(k)
@@ -326,8 +402,7 @@ def _tally_range(
                         hits += 1
                         break
             else:
-                for left in range(length, 0, -1):
-                    k = bits[left]
+                for left, k in steps[-length:]:
                     x = getrandbits(k)
                     while x >= left:
                         x = getrandbits(k)
@@ -341,6 +416,13 @@ def _tally_range(
                         hits += 1
                         break
     return hits
+
+
+def _tally_shape(shape: MeshShape, *args) -> int:
+    """_tally_range on the pair table of `shape`, for a pool job: the job
+    sends the shape, not the table, and a worker forked after the table was
+    built finds it in _pair_table's cache."""
+    return _tally_range(_pair_table(shape), *args)
 
 
 def estimate_p_hit(
@@ -368,17 +450,15 @@ def estimate_p_hit(
     _check_sampleable(table, faulty)
     blocks = -(-config.samples // _BLOCK)
     workers = min(config.workers, blocks)
-    bounds = [min(blocks * k // workers * _BLOCK, config.samples) for k in range(workers + 1)]
-    jobs = [
-        (table, faulty, avoid, config.seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])
-    ]
     if workers == 1:
-        hits = _tally_range(*jobs[0])
+        hits = _tally_range(table, faulty, avoid, config.seed, 0, config.samples)
     else:
         from multiprocessing import Pool  # imported here: one-process runs need no pool
 
+        bounds = [min(blocks * k // workers * _BLOCK, config.samples) for k in range(workers + 1)]
+        jobs = [(shape, faulty, avoid, config.seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         with Pool(workers) as pool:
-            hits = sum(pool.starmap(_tally_range, jobs))
+            hits = sum(pool.starmap(_tally_shape, jobs))
 
     samples = config.samples
     p_hat = hits / samples

@@ -1,11 +1,13 @@
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -18,6 +20,7 @@ from faultring.montecarlo import (
     McConfig,
     _pair_at,
     _pair_table,
+    _tally_range,
     _walk,
     compare_with_exact,
     estimate_p_hit,
@@ -247,6 +250,42 @@ def test_block_boundaries_do_not_leak_into_results(monkeypatch):
     assert single.hit_weight == hits[_BLOCK]
 
 
+def test_pool_jobs_send_the_mesh_shape_not_the_pair_table(monkeypatch):
+    # Each job names the shape, whose table a worker reads from the cache; on
+    # 60x60x60 the table itself pickles to 423 kB. The pool below runs its
+    # jobs in this process, each pickled and unpickled as a real pool sends
+    # it, and records the size of what it sent.
+    sent = []
+
+    class PicklingPool:
+        def __init__(self, workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, jobs):
+            results = []
+            for job in jobs:
+                data = pickle.dumps((func, job))
+                sent.append(len(data))
+                func, job = pickle.loads(data)
+                results.append(func(*job))
+            return results
+
+    shape = MeshShape((60, 60, 60))
+    complex_ = build_complex(shape, RectFault((28, 28, 28), (3, 3, 3)))
+    serial = estimate_p_hit(shape, complex_, McConfig(samples=2 * _BLOCK, seed=5))
+    monkeypatch.setattr("multiprocessing.Pool", PicklingPool)
+    split = estimate_p_hit(shape, complex_, McConfig(samples=2 * _BLOCK, seed=5, workers=2))
+    assert split == serial
+    assert len(sent) == 2 and max(sent) < 4096
+    assert len(pickle.dumps(_pair_table(shape))) > 400_000
+
+
 def test_each_block_of_samples_is_seeded_once(monkeypatch):
     seed = random.Random.seed
     calls = []
@@ -366,6 +405,9 @@ def test_pair_at_is_the_plain_map_at_seeded_ranks(radices):
 
 # A 40-node line with a 3-node block at one end: no reference row has one axis.
 LINE = ((40,), (0,), (3,))
+# A 30^4 mesh with a 3^4 block in the middle: 4-D paths of up to 116 moves,
+# where reference row 6's run to 23.
+HYPERCUBE = ((30,) * 4, (13,) * 4, (3,) * 4)
 
 
 @pytest.mark.parametrize(
@@ -377,13 +419,16 @@ LINE = ((40,), (0,), (3,))
         (10, "faults", 1, 5000, 151),
         (10, "blocked", 1, 5000, 3395),
         pytest.param(LINE, "blocked", 1, 5000, 255, id="line-blocked-1-5000-255"),
+        pytest.param(HYPERCUBE, "blocked", 1, 2000, 877, id="30^4-blocked-1-2000-877"),
+        pytest.param(HYPERCUBE, "faults", 1, 2000, 277, id="30^4-faults-1-2000-277"),
     ],
 )
 def test_benchmark_estimates_keep_their_sample_streams(row, obstacle, seed, samples, hits):
     # perfbench's mc workload estimates on rows 5 and 6 at these sample
-    # counts, and the sample loop walks their 3 and 4 axes with loops of their
-    # own; 5-D row 10 and the line take the list scan. The hit counts are
-    # pinned at one and two workers.
+    # counts, and the sample loop decodes pairs and walks their 3 and 4 axes
+    # with loops of their own, as it does the 30^4 mesh's long rows; 5-D row
+    # 10 and the line take the list scan. The hit counts are pinned at one and
+    # two workers.
     if isinstance(row, int):
         shape, complex_ = reference_row(row).build()
     else:
@@ -393,6 +438,48 @@ def test_benchmark_estimates_keep_their_sample_streams(row, obstacle, seed, samp
     for workers in (1, 2):
         config = McConfig(samples=samples, seed=seed, workers=workers)
         assert estimate_p_hit(shape, complex_, config, obstacle).hit_weight == hits
+
+
+def test_interleaved_estimates_keep_their_sample_streams():
+    # Estimates on rows 5 and 6 share the cache of pair tables with the line,
+    # which evicts one of them, so tables are both reused and rebuilt; in
+    # every order each estimate gives its pinned hit count.
+    cases = [
+        (5, "faults", 1, 5000, 4426),
+        (6, "faults", 1, 5000, 4418),
+        (5, "blocked", 2, 3000, 2964),
+    ]
+    built = {row: reference_row(row).build() for row in (5, 6)}
+    radices, origin, extents = LINE
+    line = MeshShape(radices)
+    line_complex = build_complex(line, RectFault(origin, extents))
+    _pair_table.cache_clear()
+    for order in permutations(cases):
+        assert estimate_p_hit(line, line_complex, McConfig(5000, seed=1)).hit_weight == 255
+        for row, obstacle, seed, samples, hits in order:
+            shape, complex_ = built[row]
+            config = McConfig(samples=samples, seed=seed)
+            assert estimate_p_hit(shape, complex_, config, obstacle).hit_weight == hits, row
+
+
+def test_pair_table_is_built_once_per_mesh_shape():
+    assert _pair_table(MeshShape((4, 5, 3))) is _pair_table(MeshShape((4, 5, 3)))
+
+
+@pytest.mark.parametrize("radices", [(9,), (5, 4), (4, 3, 5), (3, 4, 2, 3), (2, 3, 2, 2, 3)])
+def test_sample_loop_leaves_the_shared_pair_table_unchanged(radices):
+    # Every estimate on a shape reads one table, so the sample loop must not
+    # write to it; the list scan consumes the counts _pair_at returns, so
+    # every call returns new lists. One avoided node and no faults let most
+    # walks run to their end.
+    shape = MeshShape(radices)
+    table = _pair_table(shape)
+    before = copy.deepcopy(table)
+    avoid = frozenset({padded_index(tuple(r // 2 for r in radices), shape.padded_strides())})
+    assert 0 < _tally_range(table, frozenset(), avoid, 7, 0, 2 * _BLOCK) < 2 * _BLOCK
+    assert table == before
+    one, two = _pair_at(table, 0), _pair_at(table, 0)
+    assert one == two and one[2] is not two[2] and one[3] is not two[3]
 
 
 @pytest.mark.parametrize("radices", [reference_row(5).radices, reference_row(6).radices, (12,) * 3])
