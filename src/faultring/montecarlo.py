@@ -12,8 +12,7 @@ picks the path length, and one per axis from the last to the second picks
 that axis's distance, while axis 0 takes the length and the rank left over.
 What is left of the rank at each axis, modulo the ways to place that
 distance, indexes the axis's placement tables, which hold the endpoints'
-offsets and the signed step. The tables are built once per mesh shape and
-kept for the next estimate on it. One of the pair's paths is then walked
+offsets and the signed step. One of the pair's paths is then walked
 uniformly, one move at a time, inline in the sample loop, which stops at the
 first node in the avoid set; on 3 and 4 axes the loop decodes the pair
 inline too, and the walk holds each axis's moves left in a local variable,
@@ -27,8 +26,8 @@ block b draws all of its samples, in order, from one generator seeded from
 (seed, b). Workers split the index range on block boundaries only, so the
 estimate is bit-identical for a given (seed, samples) regardless of worker
 count, and the first S samples are the same whatever the sample count.
-A worker's job names the mesh shape, not the table, which a forked worker
-inherits from the cache rather than unpickling a copy.
+A worker's job names the mesh shape, not the table, and the worker builds
+the table itself rather than unpickling a copy.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
@@ -157,13 +155,10 @@ def _placements(radix: int, stride: int, origin: int = 0):
     return places
 
 
-@lru_cache(maxsize=2)
 def _pair_table(shape: MeshShape):
     """Per-axis tables of the path weight of the ordered pairs of distinct
-    nodes, built once per mesh shape and kept for the two shapes used last:
-    a second estimate on a shape skips the build (0.4 s on 300x300x300),
-    and a pool worker forked after it finds the table (see _tally_shape).
-    Every caller gets the same table, so nothing may change it.
+    nodes. An estimate's pilot and sample loop read one table, so neither
+    may change it.
 
     Axis j places a distance 0 in c_j(0) = r_j ways and a distance x > 0 in
     c_j(x) = 2 (r_j - x), a low corner and a flip. The weight is folded one
@@ -420,8 +415,7 @@ def _tally_range(
 
 def _tally_shape(shape: MeshShape, *args) -> int:
     """_tally_range on the pair table of `shape`, for a pool job: the job
-    sends the shape, not the table, and a worker forked after the table was
-    built finds it in _pair_table's cache."""
+    sends the shape, not the table, and the worker builds the table."""
     return _tally_range(_pair_table(shape), *args)
 
 
@@ -455,6 +449,8 @@ def estimate_p_hit(
     else:
         from multiprocessing import Pool  # imported here: one-process runs need no pool
 
+        # Each worker builds its own table; a forked one would hold this too.
+        del table
         bounds = [min(blocks * k // workers * _BLOCK, config.samples) for k in range(workers + 1)]
         jobs = [(shape, faulty, avoid, config.seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         with Pool(workers) as pool:

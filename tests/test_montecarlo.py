@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
@@ -251,10 +251,10 @@ def test_block_boundaries_do_not_leak_into_results(monkeypatch):
 
 
 def test_pool_jobs_send_the_mesh_shape_not_the_pair_table(monkeypatch):
-    # Each job names the shape, whose table a worker reads from the cache; on
-    # 60x60x60 the table itself pickles to 423 kB. The pool below runs its
-    # jobs in this process, each pickled and unpickled as a real pool sends
-    # it, and records the size of what it sent.
+    # Each job names the shape, whose table the worker builds; on 60x60x60
+    # the table itself pickles to 423 kB. The pool below runs its jobs in
+    # this process, each pickled and unpickled as a real pool sends it, and
+    # records the size of what it sent.
     sent = []
 
     class PicklingPool:
@@ -283,7 +283,6 @@ def test_pool_jobs_send_the_mesh_shape_not_the_pair_table(monkeypatch):
     split = estimate_p_hit(shape, complex_, McConfig(samples=2 * _BLOCK, seed=5, workers=2))
     assert split == serial
     assert len(sent) == 2 and max(sent) < 4096
-    assert len(pickle.dumps(_pair_table(shape))) > 400_000
 
 
 def test_each_block_of_samples_is_seeded_once(monkeypatch):
@@ -440,38 +439,12 @@ def test_benchmark_estimates_keep_their_sample_streams(row, obstacle, seed, samp
         assert estimate_p_hit(shape, complex_, config, obstacle).hit_weight == hits
 
 
-def test_interleaved_estimates_keep_their_sample_streams():
-    # Estimates on rows 5 and 6 share the cache of pair tables with the line,
-    # which evicts one of them, so tables are both reused and rebuilt; in
-    # every order each estimate gives its pinned hit count.
-    cases = [
-        (5, "faults", 1, 5000, 4426),
-        (6, "faults", 1, 5000, 4418),
-        (5, "blocked", 2, 3000, 2964),
-    ]
-    built = {row: reference_row(row).build() for row in (5, 6)}
-    radices, origin, extents = LINE
-    line = MeshShape(radices)
-    line_complex = build_complex(line, RectFault(origin, extents))
-    _pair_table.cache_clear()
-    for order in permutations(cases):
-        assert estimate_p_hit(line, line_complex, McConfig(5000, seed=1)).hit_weight == 255
-        for row, obstacle, seed, samples, hits in order:
-            shape, complex_ = built[row]
-            config = McConfig(samples=samples, seed=seed)
-            assert estimate_p_hit(shape, complex_, config, obstacle).hit_weight == hits, row
-
-
-def test_pair_table_is_built_once_per_mesh_shape():
-    assert _pair_table(MeshShape((4, 5, 3))) is _pair_table(MeshShape((4, 5, 3)))
-
-
 @pytest.mark.parametrize("radices", [(9,), (5, 4), (4, 3, 5), (3, 4, 2, 3), (2, 3, 2, 2, 3)])
-def test_sample_loop_leaves_the_shared_pair_table_unchanged(radices):
-    # Every estimate on a shape reads one table, so the sample loop must not
-    # write to it; the list scan consumes the counts _pair_at returns, so
-    # every call returns new lists. One avoided node and no faults let most
-    # walks run to their end.
+def test_sample_loop_leaves_the_pair_table_unchanged(radices):
+    # An estimate's pilot and sample loop read one table, so the sample loop
+    # must not write to it; the list scan consumes the counts _pair_at
+    # returns, so every call returns new lists. One avoided node and no
+    # faults let most walks run to their end.
     shape = MeshShape(radices)
     table = _pair_table(shape)
     before = copy.deepcopy(table)
