@@ -13,13 +13,10 @@ that axis's distance, while axis 0 takes the length and the rank left over.
 What is left of the rank at each axis, modulo the ways to place that
 distance, indexes the axis's placement tables, which hold the endpoints'
 offsets and the signed step. One of the pair's paths is then walked
-uniformly, one move at a time, inline in the sample loop, which stops at the
-first node in the avoid set; on 3 and 4 axes the loop decodes the pair
-inline too, and the walk holds each axis's moves left in a local variable,
-with a loop written out for that axis count; on any other it calls _pair_at
-and scans a list. A pair with a faulty endpoint is redrawn; a scenario where
-that would stall is refused up front. _walk is the same walk as a
-generator, for sample_minimal_path.
+uniformly, one move at a time, inline in the sample loop (_tally_range),
+which stops at the first node in the avoid set. A pair with a faulty
+endpoint is redrawn; a scenario where that would stall is refused up front.
+_walk is the same walk as a generator, for sample_minimal_path.
 
 Determinism: samples come in fixed blocks of _BLOCK consecutive indices, and
 block b draws all of its samples, in order, from one generator seeded from
@@ -33,6 +30,7 @@ the table itself rather than unpickling a copy.
 from __future__ import annotations
 
 import math
+import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -104,9 +102,8 @@ def _walk(rng: random.Random, remaining: list[int]) -> Iterator[int]:
     along axis i with probability remaining[i] / left, x drawn as
     rng.randrange(left) draws it, without its argument checks, which cost more.
     _tally_range inlines this walk draw for draw, taking each left and its
-    bit length from the pair table's last `length` steps, with the counts
-    held in locals on 3 and 4 axes and this list scan on any other axis
-    count, so its sample stream is the one this generator gives."""
+    bit length from the pair table's last `length` steps, so its sample
+    stream is the one this generator gives."""
     for left in range(sum(remaining), 0, -1):
         k = left.bit_length()
         x = rng.getrandbits(k)
@@ -206,8 +203,7 @@ def _pair_at(table, rank: int):
     axis's tables at x. Axis 0's row at the length left holds that one
     distance, and the rank left lies below its divisor, c_0(x): it is axis
     0's placement, found without a search. The path itself is a further
-    draw: _walk, or its inline copy in _tally_range, which also decodes
-    pairs inline on 3 and 4 axes."""
+    draw: _walk, or its inline copy in _tally_range."""
     lengths, axes, first_axis, _ = table
     length = bisect_right(lengths, rank)
     rank -= lengths[length - 1]
@@ -275,23 +271,27 @@ def _tally_range(
     when the avoid set lies within the fault set (obstacle="faults"), no
     endpoint left by the redraws can be in it, and that lookup is skipped.
 
-    On 3 and 4 axes the pair is decoded inline, each axis's placement read
-    from its tables at the distance drawn, and the walk has a loop of its
-    own, which holds the moves left along each axis, and each axis's flat
-    step, in local variables and picks the axis by comparing x with them
-    (x < a, then x - a < b, ...); every other axis count calls _pair_at and
-    scans the lists it returns. Each loop picks the pair and the axis
-    _pair_at and the scan would, so the stream does not depend on which one
-    runs. The table is only read.
+    On 3 and 4 axes one unrolled loop decodes the pair inline, each axis's
+    placement read from its tables at the distance drawn (the third decoded
+    axis only on 4 axes), and walks it with the moves left along each axis,
+    and each axis's flat step, in local variables, picking the axis by
+    comparing x with them: x < a, then x - a < b, then x - a - b < c, which
+    never holds on 3 axes, where c stays 0. Every other axis count calls
+    _pair_at and scans the lists it returns. Both loops pick the pair and
+    the axis _pair_at and the scan would, so the stream does not depend on
+    which one runs. The table is only read.
     """
     lengths, axes, first_axis, steps = table
     total = lengths[-1]
     total_bits = total.bit_length()
     n = len(axes) + 1
-    if n == 3:
-        (rows_a, places_a), (rows_b, places_b) = axes
-    elif n == 4:
-        (rows_a, places_a), (rows_b, places_b), (rows_c, places_c) = axes
+    unrolled = n == 3 or n == 4
+    if unrolled:
+        (rows_a, places_a), (rows_b, places_b) = axes[:2]
+        if n == 4:
+            rows_c, places_c = axes[2]
+        # On 3 axes these stay 0: the walk's third test never fires.
+        c = mc = 0
     check_ends = not avoid <= faulty
     hits = 0
     for lo in range(start, stop, _BLOCK):
@@ -301,28 +301,7 @@ def _tally_range(
                 rank = getrandbits(total_bits)
                 while rank >= total:
                     rank = getrandbits(total_bits)
-                if n == 3:
-                    length = bisect_right(lengths, rank)
-                    rank -= lengths[length - 1]
-                    starts, least, divisors = rows_a[length]
-                    k = bisect_right(starts, rank) - 1
-                    rank -= starts[k]
-                    a = least + k
-                    ways, fa, la, sa = places_a[a]
-                    p = rank % ways
-                    rank //= divisors[k]
-                    left = length - a
-                    starts, least, divisors = rows_b[left]
-                    k = bisect_right(starts, rank) - 1
-                    rank -= starts[k]
-                    b = least + k
-                    ways, fb, lb, sb = places_b[b]
-                    q = rank % ways
-                    rank //= divisors[k]
-                    _, f0, l0, s0 = first_axis[left - b]
-                    cur = fa[p] + fb[q] + f0[rank]
-                    last = la[p] + lb[q] + l0[rank]
-                elif n == 4:
+                if unrolled:
                     length = bisect_right(lengths, rank)
                     rank -= lengths[length - 1]
                     starts, least, divisors = rows_a[length]
@@ -341,16 +320,23 @@ def _tally_range(
                     q = rank % ways
                     rank //= divisors[k]
                     left -= b
-                    starts, least, divisors = rows_c[left]
-                    k = bisect_right(starts, rank) - 1
-                    rank -= starts[k]
-                    c = least + k
-                    ways, fc, lc, sc = places_c[c]
-                    u = rank % ways
-                    rank //= divisors[k]
-                    _, f0, l0, s0 = first_axis[left - c]
-                    cur = fa[p] + fb[q] + fc[u] + f0[rank]
-                    last = la[p] + lb[q] + lc[u] + l0[rank]
+                    cur = fa[p] + fb[q]
+                    last = la[p] + lb[q]
+                    if n == 4:
+                        starts, least, divisors = rows_c[left]
+                        k = bisect_right(starts, rank) - 1
+                        rank -= starts[k]
+                        c = least + k
+                        ways, fc, lc, sc = places_c[c]
+                        u = rank % ways
+                        rank //= divisors[k]
+                        left -= c
+                        cur += fc[u]
+                        last += lc[u]
+                        mc = sc[u]
+                    _, f0, l0, s0 = first_axis[left]
+                    cur += f0[rank]
+                    last += l0[rank]
                 else:
                     cur, last, moves, remaining, length = _pair_at(table, rank)
                 if cur not in faulty and last not in faulty:
@@ -358,26 +344,9 @@ def _tally_range(
             if check_ends and (cur in avoid or last in avoid):
                 hits += 1
                 continue
-            # Axis 0's count is never read: x past the others picks it.
-            if n == 3:
-                ma, mb, mc = sa[p], sb[q], s0[rank]
-                for left, k in steps[-length:]:
-                    x = getrandbits(k)
-                    while x >= left:
-                        x = getrandbits(k)
-                    if x < a:
-                        a -= 1
-                        cur += ma
-                    elif x - a < b:
-                        b -= 1
-                        cur += mb
-                    else:
-                        cur += mc
-                    if cur in avoid:
-                        hits += 1
-                        break
-            elif n == 4:
-                ma, mb, mc, md = sa[p], sb[q], sc[u], s0[rank]
+            if unrolled:
+                # Axis 0's count is never read: x past the others picks it.
+                ma, mb, md = sa[p], sb[q], s0[rank]
                 for left, k in steps[-length:]:
                     x = getrandbits(k)
                     while x >= left:
@@ -443,7 +412,8 @@ def estimate_p_hit(
     table = _pair_table(shape)
     _check_sampleable(table, faulty)
     blocks = -(-config.samples // _BLOCK)
-    workers = min(config.workers, blocks)
+    # More processes than CPUs only add pair-table builds; the stream is the same.
+    workers = min(config.workers, blocks, os.cpu_count() or 1)
     if workers == 1:
         hits = _tally_range(table, faulty, avoid, config.seed, 0, config.samples)
     else:

@@ -199,7 +199,9 @@ def test_simulate_output_is_reproducible(tmp_path, capsys):
     assert "p_hat" in first
 
 
-def test_simulate_output_identical_across_workers(tmp_path, capsys):
+def test_simulate_output_identical_across_workers(tmp_path, capsys, monkeypatch):
+    # Up to os.cpu_count() workers start: two CPUs or more split the samples.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     path = _write(tmp_path, SMALL)
     assert cli.main(["simulate", "-s", path, "--workers", "1"]) == 0
     serial = capsys.readouterr().out

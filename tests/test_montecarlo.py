@@ -31,6 +31,13 @@ from faultring.reference import reference_row
 from faultring.reliability import compute_reliability, total_paths
 
 
+@pytest.fixture(autouse=True)
+def eight_cpus(monkeypatch):
+    # An estimate starts at most os.cpu_count() workers; the pool tests here
+    # split their samples as many ways as they ask, whatever the host has.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(samples=0)
@@ -285,6 +292,77 @@ def test_pool_jobs_send_the_mesh_shape_not_the_pair_table(monkeypatch):
     assert len(sent) == 2 and max(sent) < 4096
 
 
+def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
+    # The estimate is the same for every worker count, so a worker beyond the
+    # CPU count only builds one more pair table. The pool below records how
+    # many workers it is asked for and runs its jobs in this process.
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, workers):
+            asked.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, jobs):
+            return [func(*job) for job in jobs]
+
+    shape = MeshShape((6, 6))
+    complex_ = build_complex(shape, RectFault((2, 2), (2, 1)))
+    config = McConfig(samples=10 * _BLOCK, seed=9, workers=5000)
+    serial = estimate_p_hit(shape, complex_, McConfig(samples=10 * _BLOCK, seed=9))
+    monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
+    # The 10 blocks bound the pool when the CPUs do not; one CPU, or an
+    # unknown count, runs the samples in this process.
+    for cpus, pools in [(3, [3]), (64, [10]), (1, []), (None, [])]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        asked.clear()
+        assert estimate_p_hit(shape, complex_, config) == serial
+        assert asked == pools, cpus
+
+
+def test_pool_under_the_spawn_start_method_keeps_the_stream(monkeypatch):
+    # Spawn, the default start method on macOS and Windows, starts each worker
+    # in a fresh interpreter that imports the package, so nothing reaches a
+    # job from this process but what the job pickles.
+    import multiprocessing
+
+    monkeypatch.setattr("multiprocessing.Pool", multiprocessing.get_context("spawn").Pool)
+    shape, complex_ = reference_row(5).build()
+    config = McConfig(samples=5000, seed=1, workers=2)
+    assert estimate_p_hit(shape, complex_, config, "faults").hit_weight == 4426
+
+
+def test_std_error_is_calibrated_on_small_rows():
+    # z = (p_hat - p) / std_error over 900 seeded estimates of 200 samples,
+    # p exact; on rows 2 and 3 under faults and row 4 under blocked p is 0.21,
+    # 0.30 and 0.82, so no estimate reads 0 or 1. Right error bars give sd(z)
+    # near 1, |z| <= 2 in about 95% of estimates and mean z near 0 (these seeds
+    # read 1.044, 94.4% and +0.028). Over 40 other sets of 300 seeds the three
+    # ranged over 0.95-1.06, 94.2-96.3% and -0.09..+0.07, with standard
+    # deviations 0.021, 0.005 and 0.034; each band lies at least 4.3 of them
+    # from their mean, so a correct estimator fails this test with probability
+    # below 1e-4. std_error halved reads sd(z) 2.09 and 66%; one hit too many
+    # per estimate reads mean z +0.20.
+    zs = []
+    for row, obstacle in [(2, "faults"), (3, "faults"), (4, "blocked")]:
+        shape, complex_ = reference_row(row).build()
+        p = float(compute_reliability(shape, complex_, obstacle=obstacle).p_hit)
+        for seed in range(300):
+            estimate = estimate_p_hit(shape, complex_, McConfig(samples=200, seed=seed), obstacle)
+            zs.append((estimate.p_hat - p) / estimate.std_error)
+    mean = sum(zs) / len(zs)
+    sd = math.sqrt(sum((z - mean) ** 2 for z in zs) / len(zs))
+    covered = sum(abs(z) <= 2 for z in zs) / len(zs)
+    assert 0.9 <= sd <= 1.2, sd
+    assert 0.9 <= covered <= 0.99, covered
+    assert abs(mean) <= 0.15, mean
+
+
 def test_each_block_of_samples_is_seeded_once(monkeypatch):
     seed = random.Random.seed
     calls = []
@@ -424,10 +502,9 @@ HYPERCUBE = ((30,) * 4, (13,) * 4, (3,) * 4)
 )
 def test_benchmark_estimates_keep_their_sample_streams(row, obstacle, seed, samples, hits):
     # perfbench's mc workload estimates on rows 5 and 6 at these sample
-    # counts, and the sample loop decodes pairs and walks their 3 and 4 axes
-    # with loops of their own, as it does the 30^4 mesh's long rows; 5-D row
-    # 10 and the line take the list scan. The hit counts are pinned at one and
-    # two workers.
+    # counts. Their 3 and 4 axes, and the 30^4 mesh's long rows, take the
+    # sample loop's one unrolled decode and walk; 5-D row 10 and the line take
+    # the list scan. The hit counts are pinned at one and two workers.
     if isinstance(row, int):
         shape, complex_ = reference_row(row).build()
     else:
