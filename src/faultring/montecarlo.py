@@ -9,7 +9,10 @@ binomial standard error. One uniform integer below the path weight of all
 ordered pairs, a rank, names a pair through small per-axis tables
 (_pair_at), each pair by as many ranks as it has minimal paths: one bisection
 picks the path length, and one per axis from the last to the second picks
-that axis's distance, while axis 0 takes the length and the rank left over.
+that axis's distance, in the axis's row at the length left, while axis 0
+takes the length and the rank left over. The tables start from the per-axis
+weights of paths._fold and build a row when a sample first reads it (_Rows);
+samples draw long paths, so few rows are ever built.
 What is left of the rank at each axis, modulo the ways to place that
 distance, indexes the axis's placement tables, which hold the endpoints'
 offsets and the signed step. One of the pair's paths is then walked
@@ -23,8 +26,9 @@ block b draws all of its samples, in order, from one generator seeded from
 (seed, b). Workers split the index range on block boundaries only, so the
 estimate is bit-identical for a given (seed, samples) regardless of worker
 count, and the first S samples are the same whatever the sample count.
-A worker's job names the mesh shape, not the table, and the worker builds
-the table itself rather than unpickling a copy.
+A worker's job names the mesh shape and carries its fold, the per-axis
+weights, not the table: the worker builds the placement tables and the
+rows it reads, and does not fold again.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Iterator
 
 from faultring.faults import FaultComplex
@@ -152,41 +156,56 @@ def _placements(radix: int, stride: int, origin: int = 0):
     return places
 
 
-def _pair_table(shape: MeshShape):
+class _Rows(dict):
+    """One axis's rows of the pair table by path length L, each built on
+    first read from the fold's weights before the axis and the axis's
+    placement tables, whose entry at distance x starts with c(x): the least
+    distance, max(0, L + 1 - len(before)); the divisors c(x) * comb(L, x) for
+    the distances from it up, each binomial the last times (L - x) / (x + 1);
+    and the weight below each distance and of all, the running sums of
+    before[L - x] * divisor. The row layout lives here alone."""
+
+    def __init__(self, before: list[int], places: list):
+        self.before, self.places = before, places
+
+    def __missing__(self, length: int):
+        least = max(0, length + 1 - len(self.before))
+        divisors, ways = [], math.comb(length, least)
+        for x, (c, *_) in enumerate(self.places[least : length + 1], least):
+            divisors.append(ways * c)
+            ways = ways * (length - x) // (x + 1)
+        parts = (self.before[length - x] * d for x, d in enumerate(divisors, least))
+        return self.setdefault(length, (list(accumulate(parts, initial=0)), least, divisors))
+
+
+def _pair_table(shape: MeshShape, folds: list[list[int]] | None = None):
     """Per-axis tables of the path weight of the ordered pairs of distinct
-    nodes. An estimate's pilot and sample loop read one table, so neither
-    may change it.
+    nodes. An estimate's pilot and sample loop read one table; they add rows
+    to it on first read (_Rows) and change nothing else.
 
     Axis j places a distance 0 in c_j(0) = r_j ways and a distance x > 0 in
     c_j(x) = 2 (r_j - x), a low corner and a flip. The weight is folded one
     axis at a time by paths._fold, the fold behind reliability._box_weight,
-    with the mesh against itself: row L of axis j holds the parts
-    weights[L - x] * c_j(x) * comb(L, x) for ascending distances x.
+    with the mesh against itself; `folds` is that fold, folded here unless
+    given, as a pool job gives it (_tally_fold). The fold holds one weight
+    per axis and path length, and no row.
 
     Returns the weight below each length from 1 on, and of all pairs; the
-    axes from the last to the second, each as, per length L, the weight below
-    each distance and of all, the least distance, and the divisors
-    c_j(x) * comb(L, x), each its part divided exactly by weights[L - x],
-    with the axis's placement tables (_placements) on its padded stride;
-    axis 0's placement tables alone, their offsets counted from the padded
-    index of node 0, since axis 0 takes the length and the rank left over
-    (see _pair_at); and (left, bit length) from the longest length down to
-    1, whose last L entries drive the walk of a path of length L.
+    axes from the last to the second, each as its rows by length (_Rows)
+    with its placement tables (_placements) on its padded stride; axis 0's
+    placement tables alone, their offsets counted from the padded index of
+    node 0, since axis 0 takes the length and the rank left over (see
+    _pair_at); (left, bit length) from the longest length down to 1, whose
+    last L entries drive the walk of a path of length L; and the fold.
     """
+    folds = folds or _fold(_axis_counts(0, r - 1, 0, r - 1) for r in shape.radices)
     strides = shape.padded_strides()
-    folds, weights = _fold(_axis_counts(0, r - 1, 0, r - 1) for r in shape.radices)
-    axes = []
-    for radix, stride, (before, rows) in zip(shape.radices[1:], strides[1:], folds[1:]):
-        table = []
-        for length, parts in enumerate(rows):
-            least = max(0, length + 1 - len(before))
-            divisors = [p // before[length - x] for x, p in enumerate(parts, least)]
-            table.append((list(accumulate(parts, initial=0)), least, divisors))
-        axes.append((table, _placements(radix, stride)))
+    places = [_placements(r, s) for r, s in zip(shape.radices[1:], strides[1:])]
+    axes = [(_Rows(before, p), p) for before, p in zip(folds[1:], places)]
     first_axis = _placements(shape.radices[0], strides[0], sum(strides))
-    lengths = list(accumulate(weights[1:], initial=0))
+    lengths = list(accumulate(folds[-1][1:], initial=0))
     steps = tuple((left, left.bit_length()) for left in range(len(lengths) - 1, 0, -1))
-    return lengths, axes[::-1], first_axis, steps
+    return lengths, axes[::-1], first_axis, steps, folds
 
 
 def _pair_at(table, rank: int):
@@ -204,7 +223,7 @@ def _pair_at(table, rank: int):
     distance, and the rank left lies below its divisor, c_0(x): it is axis
     0's placement, found without a search. The path itself is a further
     draw: _walk, or its inline copy in _tally_range."""
-    lengths, axes, first_axis, _ = table
+    lengths, axes, first_axis, *_ = table
     length = bisect_right(lengths, rank)
     rank -= lengths[length - 1]
     first = last = 0
@@ -239,10 +258,9 @@ def _check_sampleable(table, faulty: frozenset[int]) -> None:
     happens above 1e-3.
     """
     rng = random.Random(0)
-    total = table[0][-1]
     accepted = 0
     for _ in range(_PILOT_DRAWS):
-        first, last, *_ = _pair_at(table, rng.randrange(total))
+        first, last, *_ = _pair_at(table, rng.randrange(table[0][-1]))
         accepted += first not in faulty and last not in faulty
         if accepted == _PILOT_ACCEPTS:
             return
@@ -279,9 +297,10 @@ def _tally_range(
     never holds on 3 axes, where c stays 0. Every other axis count calls
     _pair_at and scans the lists it returns. Both loops pick the pair and
     the axis _pair_at and the scan would, so the stream does not depend on
-    which one runs. The table is only read.
+    which one runs. The table gains the rows read for the first time and
+    changes in nothing else.
     """
-    lengths, axes, first_axis, steps = table
+    lengths, axes, first_axis, steps, _ = table
     total = lengths[-1]
     total_bits = total.bit_length()
     n = len(axes) + 1
@@ -382,10 +401,11 @@ def _tally_range(
     return hits
 
 
-def _tally_shape(shape: MeshShape, *args) -> int:
-    """_tally_range on the pair table of `shape`, for a pool job: the job
-    sends the shape, not the table, and the worker builds the table."""
-    return _tally_range(_pair_table(shape), *args)
+def _tally_fold(shape: MeshShape, folds: list[list[int]], *args) -> int:
+    """_tally_range on the pair table of `shape` built from its fold, for a
+    pool job: the job carries the fold, not the table, and the worker builds
+    the placement tables and the rows it reads."""
+    return _tally_range(_pair_table(shape, folds), *args)
 
 
 def estimate_p_hit(
@@ -419,12 +439,12 @@ def estimate_p_hit(
     else:
         from multiprocessing import Pool  # imported here: one-process runs need no pool
 
-        # Each worker builds its own table; a forked one would hold this too.
-        del table
         bounds = [min(blocks * k // workers * _BLOCK, config.samples) for k in range(workers + 1)]
-        jobs = [(shape, faulty, avoid, config.seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        jobs = [(shape, table[-1], faulty, avoid, config.seed, *span) for span in pairwise(bounds)]
+        # Each worker builds its own table from the fold; a forked one would hold this too.
+        del table
         with Pool(workers) as pool:
-            hits = sum(pool.starmap(_tally_shape, jobs))
+            hits = sum(pool.starmap(_tally_fold, jobs))
 
     samples = config.samples
     p_hat = hits / samples

@@ -9,8 +9,10 @@ independent engines count the paths that avoid a set of forbidden nodes:
 * avoiding_brute: literal depth-first enumeration, the small-size ground truth.
 
 Summed over pairs of points, the path weight folds one axis at a time (see
-_fold): the closed-form denominator (reliability._box_weight) and the
-Monte-Carlo pair table (montecarlo._pair_table) both read that one fold.
+_fold), which keeps the weights before each axis and no per-distance parts:
+the closed-form denominator (reliability._box_weight) sums the last of them,
+and the Monte-Carlo pair table (montecarlo._pair_table) builds its rows from
+them.
 
 All arithmetic is exact (unbounded integers).
 """
@@ -52,35 +54,30 @@ def _axis_counts(xl: int, xh: int, yl: int, yh: int) -> list[int]:
     return counts
 
 
-def _fold(axes: Iterable[list[int]]) -> tuple[list[tuple[list[int], list[list[int]]]], list[int]]:
+def _fold(axes: Iterable[list[int]]) -> list[list[int]]:
     """Fold the path weight of pairs of points one axis at a time.
 
     Each axis is given by its counts c(d) of coordinate pairs at distance d.
     Before axis j, weights[L] sums, over the pairs' offset vectors on the
     axes before j of length L, the product of their counts times
     multinomial(offset). Axis j turns this into
-    weights'[T] = sum_d weights[T - d] * comb(T, d) * c(d); row T of the axis
-    lists these parts for the distances d ascending from
-    max(0, T + 1 - len(weights)), zero counts included. Walking d up from a
-    source length L, comb(L + d, d) * weights[L] grows by the exact ratio
-    (L + d) / d, so no binomial is computed.
+    weights'[T] = sum_d weights[T - d] * comb(T, d) * c(d). Walking d up from
+    a source length L, comb(L + d, d) * weights[L] grows to the next one by
+    the exact ratio (L + d + 1) / (d + 1), so no binomial is computed.
 
-    Returns, per axis, the weights before it and its rows, and the weights
-    after the last axis.
+    Returns the weights before each axis, [1] before the first, and after
+    the last, which sum to the weight of all pairs. The parts of each sum are
+    not kept: montecarlo._pair_table builds the ones it reads.
     """
-    weights = [1]
-    folds = []
+    folds = [[1]]
     for counts in axes:
-        rows: list[list[int]] = [[] for _ in range(len(weights) + len(counts) - 1)]
-        for length in range(len(weights) - 1, -1, -1):  # so each row's d ascends
-            w = weights[length]
+        weights = [0] * (len(folds[-1]) + len(counts) - 1)
+        for length, w in enumerate(folds[-1]):
             for d, c in enumerate(counts):
-                if d:
-                    w = w * (length + d) // d
-                rows[length + d].append(w * c)
-        folds.append((weights, rows))
-        weights = [sum(row) for row in rows]
-    return folds, weights
+                weights[length + d] += w * c
+                w = w * (length + d + 1) // (d + 1)
+        folds.append(weights)
+    return folds
 
 
 def path_count(a: Coord, b: Coord) -> int:

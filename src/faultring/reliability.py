@@ -236,7 +236,7 @@ def _box_weight(x: Box, y: Box) -> int:
     """W(x, y): the minimal paths of every ordered pair (a, b) in x * y, that is
     the sum of multinomial(|a - b|), folded one axis at a time by paths._fold
     from each axis's counts of coordinate pairs by distance."""
-    return sum(_fold(map(_axis_counts, x.lo, x.hi, y.lo, y.hi))[1])
+    return sum(_fold(map(_axis_counts, x.lo, x.hi, y.lo, y.hi))[-1])
 
 
 def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:

@@ -26,7 +26,7 @@ from faultring.montecarlo import (
     estimate_p_hit,
     sample_minimal_path,
 )
-from faultring.paths import path_count
+from faultring.paths import _axis_counts, _fold, path_count
 from faultring.reference import reference_row
 from faultring.reliability import compute_reliability, total_paths
 
@@ -257,39 +257,66 @@ def test_block_boundaries_do_not_leak_into_results(monkeypatch):
     assert single.hit_weight == hits[_BLOCK]
 
 
+class PicklingPool:
+    """Runs a pool's jobs in this process, each pickled and unpickled as a
+    real pool sends it, and records the size of what each job sent in
+    `sent`, which a test replaces with a fresh list."""
+
+    sent: list[int] = []
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, jobs):
+        results = []
+        for job in jobs:
+            data = pickle.dumps((func, job))
+            self.sent.append(len(data))
+            func, job = pickle.loads(data)
+            results.append(func(*job))
+        return results
+
+
 def test_pool_jobs_send_the_mesh_shape_not_the_pair_table(monkeypatch):
-    # Each job names the shape, whose table the worker builds; on 60x60x60
-    # the table itself pickles to 423 kB. The pool below runs its jobs in
-    # this process, each pickled and unpickled as a real pool sends it, and
-    # records the size of what it sent.
-    sent = []
-
-    class PicklingPool:
-        def __init__(self, workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, func, jobs):
-            results = []
-            for job in jobs:
-                data = pickle.dumps((func, job))
-                sent.append(len(data))
-                func, job = pickle.loads(data)
-                results.append(func(*job))
-            return results
-
+    # Each job names the shape and carries its fold, the per-axis weights,
+    # from which the worker builds the placement tables and the rows it reads;
+    # on 60x60x60 the fold pickles to about 5 kB, while the rows alone once
+    # pickled to 423 kB.
     shape = MeshShape((60, 60, 60))
     complex_ = build_complex(shape, RectFault((28, 28, 28), (3, 3, 3)))
     serial = estimate_p_hit(shape, complex_, McConfig(samples=2 * _BLOCK, seed=5))
     monkeypatch.setattr("multiprocessing.Pool", PicklingPool)
+    monkeypatch.setattr(PicklingPool, "sent", [])
     split = estimate_p_hit(shape, complex_, McConfig(samples=2 * _BLOCK, seed=5, workers=2))
     assert split == serial
-    assert len(sent) == 2 and max(sent) < 4096
+    fold = len(pickle.dumps(_fold(_axis_counts(0, 59, 0, 59) for _ in range(3))))
+    assert len(PicklingPool.sent) == 2 and max(PicklingPool.sent) < fold + 4096
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_estimate_folds_its_mesh_once_at_any_worker_count(monkeypatch, workers):
+    # The parent folds once and each job carries the fold, so no worker
+    # folds again; the pool runs its jobs in this process, as it sends them.
+    shape, complex_ = reference_row(5).build()
+    serial = estimate_p_hit(shape, complex_, McConfig(samples=3 * _BLOCK, seed=1), "faults")
+    calls = []
+
+    def counting_fold(axes):
+        calls.append(1)
+        return _fold(axes)
+
+    monkeypatch.setattr(montecarlo, "_fold", counting_fold)
+    monkeypatch.setattr("multiprocessing.Pool", PicklingPool)
+    monkeypatch.setattr(PicklingPool, "sent", [])
+    config = McConfig(samples=3 * _BLOCK, seed=1, workers=workers)
+    assert estimate_p_hit(shape, complex_, config, "faults") == serial
+    assert len(calls) == 1
 
 
 def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
@@ -519,15 +546,20 @@ def test_benchmark_estimates_keep_their_sample_streams(row, obstacle, seed, samp
 @pytest.mark.parametrize("radices", [(9,), (5, 4), (4, 3, 5), (3, 4, 2, 3), (2, 3, 2, 2, 3)])
 def test_sample_loop_leaves_the_pair_table_unchanged(radices):
     # An estimate's pilot and sample loop read one table, so the sample loop
-    # must not write to it; the list scan consumes the counts _pair_at
-    # returns, so every call returns new lists. One avoided node and no
-    # faults let most walks run to their end.
+    # must not write to it but for the rows it builds on first read, each of
+    # which must equal a fresh table's row at the same length; the list scan
+    # consumes the counts _pair_at returns, so every call returns new lists.
+    # One avoided node and no faults let most walks run to their end.
     shape = MeshShape(radices)
     table = _pair_table(shape)
     before = copy.deepcopy(table)
     avoid = frozenset({padded_index(tuple(r // 2 for r in radices), shape.padded_strides())})
     assert 0 < _tally_range(table, frozenset(), avoid, 7, 0, 2 * _BLOCK) < 2 * _BLOCK
-    assert table == before
+    fresh = _pair_table(shape)
+    for (rows, places), (old_rows, old_places), (new_rows, _) in zip(table[1], before[1], fresh[1]):
+        assert rows and not old_rows and places == old_places and rows.before == old_rows.before
+        assert all(rows[length] == new_rows[length] for length in rows)
+    assert table[0] == before[0] and table[2:] == before[2:]
     one, two = _pair_at(table, 0), _pair_at(table, 0)
     assert one == two and one[2] is not two[2] and one[3] is not two[3]
 
@@ -536,6 +568,43 @@ def test_sample_loop_leaves_the_pair_table_unchanged(radices):
 def test_pair_table_weight_is_twice_the_fault_free_denominator(radices):
     shape = MeshShape(radices)
     assert _pair_table(shape)[0][-1] == 2 * total_paths(shape, ())
+
+
+# Run in a fresh interpreter, whose peak resident size no earlier test has
+# raised: prints the growth of the peak, in MiB, over the denominator of a
+# 300x300x300 mesh and then over its pair table.
+PEAK_GROWTH = """
+import resource, sys
+from faultring.mesh import MeshShape
+from faultring.montecarlo import _pair_table
+from faultring.reliability import total_paths
+unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, else KiB
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 2**20
+shape = MeshShape((300, 300, 300))
+base = peak()
+total_paths(shape)
+denominator = peak() - base
+table = _pair_table(shape)
+print(denominator, peak() - base)
+"""
+
+
+def test_pair_table_and_denominator_keep_no_rows_on_300_cubed():
+    # The fold keeps weights only and the pair table builds a row when a
+    # sample first reads it, so on 300x300x300 the denominator's peak grows
+    # by well under a MiB and the table's by its 6.4 MiB of placement
+    # tables; when the fold kept every row and the table turned each into
+    # its own copy, the two grew by 11-30 and 71-89 MiB. tracemalloc would trace
+    # every integer of the fold and take seconds, so the peak resident size
+    # of a fresh process is read instead.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(faultring.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_GROWTH], check=True, env=env, capture_output=True, text=True
+    ).stdout
+    denominator, table = map(float, out.split())
+    assert denominator < 4 and table < 16, (denominator, table)
 
 
 def test_importing_the_package_leaves_multiprocessing_out():

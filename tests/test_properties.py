@@ -1,14 +1,16 @@
 """Property tests: the all-pairs engine against the per-pair oracles, its
 invariance under the symmetries of the mesh, the closed-form denominator of
 box faults against the engine, the per-axis fold of box-to-box path weights
-against per-pair counts, the sampled cross-check's unranked pairs against the
-walked ones, the Monte-Carlo sample loop against a reference loop,
+against per-pair counts, the Monte-Carlo pair table's rows against their
+definition, the sampled cross-check's unranked pairs against the walked
+ones, the Monte-Carlo sample loop against a reference loop,
 connectivity and rings against their definitions, and the scenario round
 trip."""
 
 import math
 import random
-from itertools import combinations, islice, product
+from collections import Counter
+from itertools import accumulate, combinations, islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +28,7 @@ from faultring.montecarlo import (
     _tally_range,
     _walk,
 )
-from faultring.paths import _axis_counts, _fold, avoiding_brute, path_count
+from faultring.paths import avoiding_brute, multinomial, path_count
 from faultring.reliability import (
     CROSS_CHECKS,
     ENGINES,
@@ -195,17 +197,32 @@ def box_pairs(draw):
 def test_box_weight_sums_path_counts_over_box_pairs(boxes):
     x, y = boxes
     assert _box_weight(x, y) == sum(path_count(a, b) for a in x.nodes() for b in y.nodes())
-    # Row T of each axis of the fold lists weights[T - d] * comb(T, d) * c(d)
-    # for d ascending; the sum above cannot see that order.
-    axes = list(map(_axis_counts, x.lo, x.hi, y.lo, y.hi))
-    folds, _ = _fold(axes)
-    for counts, (before, rows) in zip(axes, folds):
-        for length, parts in enumerate(rows):
-            assert parts == [
-                before[length - d] * math.comb(length, d) * c
-                for d, c in enumerate(counts)
-                if 0 <= length - d < len(before)
-            ]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.integers(2, 6), min_size=2, max_size=4))
+def test_pair_table_rows_list_each_distance_in_ascending_order(radices):
+    # Row L of axis j holds, for the distances x ascending from the least,
+    # the divisor comb(L, x) * c_j(x) and the running sum of the parts
+    # before[L - x] * divisor, where before[L] sums multinomial(offset) times
+    # the product of the counts c_i(x_i) over the offsets of length L on the
+    # axes below j, counted here from that definition. _box_weight's sum
+    # cannot see that order. Every row is built on first read, at every length.
+    _, axes, *_ = _pair_table(MeshShape(tuple(radices)))
+    assert not any(rows for rows, _ in axes)
+
+    def c(radix, x):
+        return 2 * (radix - x) if x else radix
+
+    for j, (rows, _) in zip(range(len(radices) - 1, 0, -1), axes):
+        before = Counter()
+        for offset in product(*map(range, radices[:j])):
+            before[sum(offset)] += multinomial(offset) * math.prod(map(c, radices, offset))
+        for length in range(len(before) + radices[j] - 1):
+            xs = [x for x in range(radices[j]) if length - x in before]
+            divisors = [math.comb(length, x) * c(radices[j], x) for x in xs]
+            parts = [before[length - x] * d for x, d in zip(xs, divisors)]
+            assert rows[length] == (list(accumulate(parts, initial=0)), xs[0], divisors)
 
 
 @st.composite
