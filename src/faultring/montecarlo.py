@@ -11,15 +11,17 @@ ordered pairs, a rank, names a pair through small per-axis tables
 picks the path length, and one per axis from the last to the second picks
 that axis's distance, in the axis's row at the length left, while axis 0
 takes the length and the rank left over. The tables start from the per-axis
-weights of paths._fold and build a row when a sample first reads it (_Rows);
-samples draw long paths, so few rows are ever built.
-What is left of the rank at each axis, modulo the ways to place that
-distance, indexes the axis's placement tables, which hold the endpoints'
-offsets and the signed step. One of the pair's paths is then walked
-uniformly, one move at a time, inline in the sample loop (_tally_range),
-which stops at the first node in the avoid set. A pair with a faulty
-endpoint is redrawn; a scenario where that would stall is refused up front.
-_walk is the same walk as a generator, for sample_minimal_path.
+weights of paths._fold and build a row when a sample first reads it (_row),
+in a plain list slot per length; samples draw long paths, so few rows are
+ever built. What is left of the rank at each axis, modulo the ways to place
+that distance, indexes the axis's placement tables, which hold the
+endpoints' offsets and the signed step. One of the pair's paths is then
+walked uniformly, one move at a time, inline in the sample loop
+(_tally_range), which stops at the first node in the avoid set, or as a
+miss once the walk can no longer reach B, the avoid set's bounding box
+(_limits): a pair whose own box misses B takes no walk at all. A pair with
+a faulty endpoint is redrawn; a scenario where that would stall is refused
+up front. _walk is the same walk as a generator, for sample_minimal_path.
 
 Determinism: samples come in fixed blocks of _BLOCK consecutive indices, and
 block b draws all of its samples, in order, from one generator seeded from
@@ -27,8 +29,8 @@ block b draws all of its samples, in order, from one generator seeded from
 estimate is bit-identical for a given (seed, samples) regardless of worker
 count, and the first S samples are the same whatever the sample count.
 A worker's job names the mesh shape and carries its fold, the per-axis
-weights, not the table: the worker builds the placement tables and the
-rows it reads, and does not fold again.
+weights, and B's two corners, not the table: the worker builds the
+placement tables and the rows it reads, and does not fold again.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
+from operator import lt
 from typing import Iterator
 
 from faultring.faults import FaultComplex
@@ -106,8 +109,9 @@ def _walk(rng: random.Random, remaining: list[int]) -> Iterator[int]:
     along axis i with probability remaining[i] / left, x drawn as
     rng.randrange(left) draws it, without its argument checks, which cost more.
     _tally_range inlines this walk draw for draw, taking each left and its
-    bit length from the pair table's last `length` steps, so its sample
-    stream is the one this generator gives."""
+    bit length from the pair table's walk of `length` steps (_walk_steps),
+    so its sample stream is the one this generator gives, up to where it
+    stops."""
     for left in range(sum(remaining), 0, -1):
         k = left.bit_length()
         x = rng.getrandbits(k)
@@ -139,49 +143,54 @@ def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
 def _placements(radix: int, stride: int, origin: int = 0):
     """Per distance x along one axis, c(x) and, indexed by placement, the
     first endpoint's offset, the last endpoint's offset and the signed step:
-    coordinate p and +stride for x = 0; for x > 0 the low corner p >> 1,
-    walked up, or flipped (p & 1) and walked down. An offset is
+    coordinate p and +stride for x = 0; for x > 0 and p < radix - x the low
+    corner p, walked up, and from there on the low corner p - (radix - x),
+    walked down. So the last endpoint's coordinate is p + x walked up and
+    p + x - radix walked down, which _limits reads. An offset is
     origin + coordinate * stride. Every entry is one of the axis's radix
     offsets or of its two step ints, so the lists hold references, not new
     ints: 6.4 MiB for the three axes of a 300x300x300 mesh."""
     offsets = [origin + i * stride for i in range(radix)]
     places = [(radix, offsets, offsets, [stride] * radix)]
-    steps = [stride, -stride]
     for x in range(1, radix):
-        ways = 2 * (radix - x)
-        firsts, lasts = [0] * ways, [0] * ways
-        firsts[::2] = lasts[1::2] = offsets[: radix - x]
-        firsts[1::2] = lasts[::2] = offsets[x:]
-        places.append((ways, firsts, lasts, steps * (radix - x)))
+        lows, highs = offsets[: radix - x], offsets[x:]
+        signed = [stride] * len(lows) + [-stride] * len(lows)
+        places.append((2 * (radix - x), lows + highs, highs + lows, signed))
     return places
 
 
-class _Rows(dict):
-    """One axis's rows of the pair table by path length L, each built on
-    first read from the fold's weights before the axis and the axis's
-    placement tables, whose entry at distance x starts with c(x): the least
+def _row(rows: list, places: list, before: list[int], length: int):
+    """Row L of one axis of the pair table, built from the fold's weights
+    before the axis and the axis's placement tables, whose entry at distance
+    x starts with c(x), and kept in the axis's slot for L: the least
     distance, max(0, L + 1 - len(before)); the divisors c(x) * comb(L, x) for
     the distances from it up, each binomial the last times (L - x) / (x + 1);
     and the weight below each distance and of all, the running sums of
-    before[L - x] * divisor. The row layout lives here alone."""
+    before[L - x] * divisor. Callers read a slot and call this when it is
+    still None; the row layout lives here alone."""
+    least = max(0, length + 1 - len(before))
+    divisors, ways = [], math.comb(length, least)
+    for x, (c, *_) in enumerate(places[least : length + 1], least):
+        divisors.append(ways * c)
+        ways = ways * (length - x) // (x + 1)
+    parts = (before[length - x] * d for x, d in enumerate(divisors, least))
+    rows[length] = row = (list(accumulate(parts, initial=0)), least, divisors)
+    return row
 
-    def __init__(self, before: list[int], places: list):
-        self.before, self.places = before, places
 
-    def __missing__(self, length: int):
-        least = max(0, length + 1 - len(self.before))
-        divisors, ways = [], math.comb(length, least)
-        for x, (c, *_) in enumerate(self.places[least : length + 1], least):
-            divisors.append(ways * c)
-            ways = ways * (length - x) // (x + 1)
-        parts = (self.before[length - x] * d for x, d in enumerate(divisors, least))
-        return self.setdefault(length, (list(accumulate(parts, initial=0)), least, divisors))
+def _walk_steps(walks: list, length: int):
+    """(left, bit length) for left from `length` down to 1, the draws of a
+    walk of that length: the tail of the longest walk's, kept in the
+    length's slot of `walks` the first time a sample walks that far."""
+    walks[length] = steps = walks[-1][-length:]
+    return steps
 
 
 def _pair_table(shape: MeshShape, folds: list[list[int]] | None = None):
     """Per-axis tables of the path weight of the ordered pairs of distinct
-    nodes. An estimate's pilot and sample loop read one table; they add rows
-    to it on first read (_Rows) and change nothing else.
+    nodes. An estimate's pilot and sample loop read one table; they fill its
+    row and walk slots on first read (_row, _walk_steps) and change nothing
+    else.
 
     Axis j places a distance 0 in c_j(0) = r_j ways and a distance x > 0 in
     c_j(x) = 2 (r_j - x), a low corner and a flip. The weight is folded one
@@ -191,21 +200,23 @@ def _pair_table(shape: MeshShape, folds: list[list[int]] | None = None):
     per axis and path length, and no row.
 
     Returns the weight below each length from 1 on, and of all pairs; the
-    axes from the last to the second, each as its rows by length (_Rows)
-    with its placement tables (_placements) on its padded stride; axis 0's
-    placement tables alone, their offsets counted from the padded index of
-    node 0, since axis 0 takes the length and the rank left over (see
-    _pair_at); (left, bit length) from the longest length down to 1, whose
-    last L entries drive the walk of a path of length L; and the fold.
+    axes from the last to the second, each as (a slot per length, None until
+    _row builds the row; its placement tables, from _placements on its
+    padded stride; the fold's weights before it); axis 0's placement tables
+    alone, their offsets counted from the padded index of node 0, since
+    axis 0 takes the length and the rank left over (see _pair_at); a walk
+    slot per length, None until _walk_steps fills it, but for the longest
+    length's (left, bit length) pairs from the longest length down to 1;
+    and the fold.
     """
     folds = folds or _fold(_axis_counts(0, r - 1, 0, r - 1) for r in shape.radices)
     strides = shape.padded_strides()
     places = [_placements(r, s) for r, s in zip(shape.radices[1:], strides[1:])]
-    axes = [(_Rows(before, p), p) for before, p in zip(folds[1:], places)]
+    axes = [([None] * len(w), p, before) for before, w, p in zip(folds[1:], folds[2:], places)]
     first_axis = _placements(shape.radices[0], strides[0], sum(strides))
     lengths = list(accumulate(folds[-1][1:], initial=0))
     steps = tuple((left, left.bit_length()) for left in range(len(lengths) - 1, 0, -1))
-    return lengths, axes[::-1], first_axis, steps, folds
+    return lengths, axes[::-1], first_axis, [None] * len(steps) + [steps], folds
 
 
 def _pair_at(table, rank: int):
@@ -229,8 +240,8 @@ def _pair_at(table, rank: int):
     first = last = 0
     remaining, moves = [], []
     left = length
-    for rows, places in axes:
-        starts, least, divisors = rows[left]
+    for rows, places, before in axes:
+        starts, least, divisors = rows[left] or _row(rows, places, before, left)
         k = bisect_right(starts, rank) - 1
         x = least + k
         rank -= starts[k]
@@ -246,6 +257,28 @@ def _pair_at(table, rank: int):
     remaining.append(left)
     moves.append(signed[rank])
     return first + firsts[rank], last + lasts[rank], moves, remaining, length
+
+
+def _avoid_box(shape: MeshShape, nodes) -> tuple[Coord, Coord]:
+    """B, the bounding box of the avoid nodes inside the mesh, as its low and
+    high corner; an empty one, low above high on every axis, when none is."""
+    sides = list(zip(*(v for v in nodes if shape.contains(v))))
+    return tuple(map(min, sides)) or shape.radices, tuple(map(max, sides)) or (-1,) * shape.n
+
+
+def _limits(radix: int, lo: int, hi: int) -> list[int]:
+    """The fewest moves left along one axis at which a walk can still meet
+    [lo, hi], B's side on the axis, by the last endpoint's coordinate e
+    walked up, then by e walked down, so that a placement p at distance x
+    (_placements) reads index p + x: e - hi up and lo - e down, or radix,
+    above any count, when the walk never meets it (e < lo up, e > hi down).
+    Along the axis, a walk with m moves left covers the coordinates from its
+    current one, e - m up or e + m down, to e; with fewer moves left than
+    the limit none of them lies in [lo, hi], so neither the current node nor
+    any later one is in B. At distance 0, m = 0 and the limit is positive
+    exactly when e lies outside [lo, hi]."""
+    up = [e - hi if e >= lo else radix for e in range(radix)]
+    return up + [lo - e if e <= hi else radix for e in range(radix)]
 
 
 def _check_sampleable(table, faulty: frozenset[int]) -> None:
@@ -275,6 +308,7 @@ def _tally_range(
     table,
     faulty: frozenset[int],
     avoid: frozenset[int],
+    box: tuple[Coord, Coord],
     seed: int,
     start: int,
     stop: int,
@@ -289,28 +323,48 @@ def _tally_range(
     when the avoid set lies within the fault set (obstacle="faults"), no
     endpoint left by the redraws can be in it, and that lookup is skipped.
 
+    Early miss: `box` is B, the bounding box of the avoid set's nodes in the
+    mesh (_avoid_box). A sample is a miss as soon as the box spanned by the
+    node it has reached and the last endpoint misses B, since every later
+    node lies in that box: when, on some axis, fewer moves are left than the
+    axis's limit at the last endpoint's coordinate and direction (_limits).
+    A pair that misses on some axis takes no walk, so an empty avoid set
+    makes every sample an immediate miss; in a walk only the axis just moved
+    can start to miss, and it is tested before the avoid lookup.
+
     On 3 and 4 axes one unrolled loop decodes the pair inline, each axis's
     placement read from its tables at the distance drawn (the third decoded
-    axis only on 4 axes), and walks it with the moves left along each axis,
-    and each axis's flat step, in local variables, picking the axis by
-    comparing x with them: x < a, then x - a < b, then x - a - b < c, which
-    never holds on 3 axes, where c stays 0. Every other axis count calls
-    _pair_at and scans the lists it returns. Both loops pick the pair and
-    the axis _pair_at and the scan would, so the stream does not depend on
-    which one runs. The table gains the rows read for the first time and
-    changes in nothing else.
+    axis only on 4 axes), and walks it with each axis's moves left, limit
+    and flat step in local variables, picking the axis by comparing x with
+    the moves left: x < a, then x - a < b, then x - a - b < c, which never
+    holds on 3 axes, where c and its limit stay 0; axis 0 takes the rest.
+    It reads a limit at the placement plus the distance. Every other axis
+    count calls _pair_at, scans the lists it returns, and reads each limit
+    by the last endpoint's coordinate, found from its padded index, and the
+    sign of the axis's step. Both loops pick the pair and the axis
+    _pair_at and the scan would, and stop where the other would, so the
+    stream does not depend on which one runs. The table gains the rows and
+    walks read for the first time and changes in nothing else.
     """
-    lengths, axes, first_axis, steps, _ = table
+    lengths, axes, first_axis, walks, _ = table
     total = lengths[-1]
     total_bits = total.bit_length()
     n = len(axes) + 1
+    # Per axis from the last to the first, as the table lists them; each
+    # axis's tables at distance 0 give its radix and its stride.
+    zeros = [places[0] for _, places, _ in axes] + [first_axis[0]]
+    limits = [_limits(radix, lo, hi) for (radix, *_), lo, hi in zip(zeros, *map(reversed, box))]
     unrolled = n == 3 or n == 4
     if unrolled:
-        (rows_a, places_a), (rows_b, places_b) = axes[:2]
+        ends_a, ends_b, ends_c, ends_0 = limits[0], limits[1], limits[-2], limits[-1]
+        (rows_a, places_a, _), (rows_b, places_b, _) = axis_a, axis_b = axes[:2]
         if n == 4:
-            rows_c, places_c = axes[2]
+            (rows_c, places_c, _) = axis_c = axes[2]
         # On 3 axes these stay 0: the walk's third test never fires.
-        c = mc = 0
+        c = mc = tc = 0
+    else:
+        # A padded index's digit along an axis is the coordinate plus 1.
+        scales = [(z[3][0], z[0] + 2, z[0], [0] + t) for z, t in zip(zeros, limits)]
     check_ends = not avoid <= faulty
     hits = 0
     for lo in range(start, stop, _BLOCK):
@@ -323,7 +377,7 @@ def _tally_range(
                 if unrolled:
                     length = bisect_right(lengths, rank)
                     rank -= lengths[length - 1]
-                    starts, least, divisors = rows_a[length]
+                    starts, least, divisors = rows_a[length] or _row(*axis_a, length)
                     k = bisect_right(starts, rank) - 1
                     rank -= starts[k]
                     a = least + k
@@ -331,7 +385,7 @@ def _tally_range(
                     p = rank % ways
                     rank //= divisors[k]
                     left = length - a
-                    starts, least, divisors = rows_b[left]
+                    starts, least, divisors = rows_b[left] or _row(*axis_b, left)
                     k = bisect_right(starts, rank) - 1
                     rank -= starts[k]
                     b = least + k
@@ -341,8 +395,9 @@ def _tally_range(
                     left -= b
                     cur = fa[p] + fb[q]
                     last = la[p] + lb[q]
+                    ta, tb = ends_a[p + a], ends_b[q + b]
                     if n == 4:
-                        starts, least, divisors = rows_c[left]
+                        starts, least, divisors = rows_c[left] or _row(*axis_c, left)
                         k = bisect_right(starts, rank) - 1
                         rank -= starts[k]
                         c = least + k
@@ -353,9 +408,11 @@ def _tally_range(
                         cur += fc[u]
                         last += lc[u]
                         mc = sc[u]
+                        tc = ends_c[u + c]
                     _, f0, l0, s0 = first_axis[left]
                     cur += f0[rank]
                     last += l0[rank]
+                    d, td = left, ends_0[rank + left]
                 else:
                     cur, last, moves, remaining, length = _pair_at(table, rank)
                 if cur not in faulty and last not in faulty:
@@ -364,28 +421,41 @@ def _tally_range(
                 hits += 1
                 continue
             if unrolled:
-                # Axis 0's count is never read: x past the others picks it.
+                if a < ta or b < tb or c < tc or d < td:
+                    continue
                 ma, mb, md = sa[p], sb[q], s0[rank]
-                for left, k in steps[-length:]:
+                for left, k in walks[length] or _walk_steps(walks, length):
                     x = getrandbits(k)
                     while x >= left:
                         x = getrandbits(k)
                     if x < a:
                         a -= 1
+                        if a < ta:
+                            break
                         cur += ma
                     elif x - a < b:
                         b -= 1
+                        if b < tb:
+                            break
                         cur += mb
                     elif x - a - b < c:
                         c -= 1
+                        if c < tc:
+                            break
                         cur += mc
                     else:
+                        d -= 1
+                        if d < td:
+                            break
                         cur += md
                     if cur in avoid:
                         hits += 1
                         break
             else:
-                for left, k in steps[-length:]:
+                ends = [t[last // s % w + (m < 0) * r] for (s, w, r, t), m in zip(scales, moves)]
+                if any(map(lt, remaining, ends)):
+                    continue
+                for left, k in walks[length] or _walk_steps(walks, length):
                     x = getrandbits(k)
                     while x >= left:
                         x = getrandbits(k)
@@ -394,6 +464,8 @@ def _tally_range(
                         x -= remaining[i]
                         i += 1
                     remaining[i] -= 1
+                    if remaining[i] < ends[i]:
+                        break
                     cur += moves[i]
                     if cur in avoid:
                         hits += 1
@@ -429,18 +501,20 @@ def estimate_p_hit(
     avoid_nodes = _avoid_set(complex_, obstacle)
     # Under obstacle="faults" the avoid set is the fault set, indexed above.
     avoid = faulty if obstacle == "faults" else padded_indices(shape, avoid_nodes)
+    box = _avoid_box(shape, avoid_nodes)
     table = _pair_table(shape)
     _check_sampleable(table, faulty)
     blocks = -(-config.samples // _BLOCK)
     # More processes than CPUs only add pair-table builds; the stream is the same.
     workers = min(config.workers, blocks, os.cpu_count() or 1)
     if workers == 1:
-        hits = _tally_range(table, faulty, avoid, config.seed, 0, config.samples)
+        hits = _tally_range(table, faulty, avoid, box, config.seed, 0, config.samples)
     else:
         from multiprocessing import Pool  # imported here: one-process runs need no pool
 
         bounds = [min(blocks * k // workers * _BLOCK, config.samples) for k in range(workers + 1)]
-        jobs = [(shape, table[-1], faulty, avoid, config.seed, *span) for span in pairwise(bounds)]
+        job = (shape, table[-1], faulty, avoid, box, config.seed)
+        jobs = [(*job, *span) for span in pairwise(bounds)]
         # Each worker builds its own table from the fold; a forked one would hold this too.
         del table
         with Pool(workers) as pool:

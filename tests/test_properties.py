@@ -17,14 +17,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faultring.faults import ArbitraryFault, OverlapFault, RectFault, build_complex, ring_of
-from faultring.mesh import Box, MeshShape, is_connected, neighbors, padded_indices
+from faultring.mesh import Box, MeshShape, is_connected, neighbors, padded_index, padded_indices
 from faultring.montecarlo import (
     _BLOCK,
     _SEED_SPAN,
     McConfig,
+    _avoid_box,
     _check_sampleable,
+    _limits,
     _pair_at,
     _pair_table,
+    _placements,
+    _row,
     _tally_range,
     _walk,
 )
@@ -209,12 +213,12 @@ def test_pair_table_rows_list_each_distance_in_ascending_order(radices):
     # axes below j, counted here from that definition. _box_weight's sum
     # cannot see that order. Every row is built on first read, at every length.
     _, axes, *_ = _pair_table(MeshShape(tuple(radices)))
-    assert not any(rows for rows, _ in axes)
+    assert not any(any(rows) for rows, *_ in axes)
 
     def c(radix, x):
         return 2 * (radix - x) if x else radix
 
-    for j, (rows, _) in zip(range(len(radices) - 1, 0, -1), axes):
+    for j, axis in zip(range(len(radices) - 1, 0, -1), axes):
         before = Counter()
         for offset in product(*map(range, radices[:j])):
             before[sum(offset)] += multinomial(offset) * math.prod(map(c, radices, offset))
@@ -222,7 +226,9 @@ def test_pair_table_rows_list_each_distance_in_ascending_order(radices):
             xs = [x for x in range(radices[j]) if length - x in before]
             divisors = [math.comb(length, x) * c(radices[j], x) for x in xs]
             parts = [before[length - x] * d for x, d in zip(xs, divisors)]
-            assert rows[length] == (list(accumulate(parts, initial=0)), xs[0], divisors)
+            row = (list(accumulate(parts, initial=0)), xs[0], divisors)
+            assert _row(*axis, length) == row and axis[0][length] == row
+        assert len(axis[0]) == length + 1
 
 
 @st.composite
@@ -263,19 +269,69 @@ def test_sampled_pairs_are_the_walked_pairs_of_their_ranks(case):
 
 
 @st.composite
+def axis_sides(draw):
+    """One axis of radix 2..9 and B's side [lo, hi] on it: anywhere, a single
+    coordinate, touching a border, the whole axis, or empty, as _avoid_box
+    gives it for no avoid node (lo = radix, hi = -1)."""
+    radix = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(("any", "single", "border", "whole", "empty")))
+    if kind == "empty":
+        return radix, radix, -1
+    if kind == "whole":
+        return radix, 0, radix - 1
+    if kind == "single":
+        lo = hi = draw(st.integers(0, radix - 1))
+    elif kind == "border":
+        lo, hi = sorted((draw(st.sampled_from((0, radix - 1))), draw(st.integers(0, radix - 1))))
+    else:
+        lo, hi = sorted((draw(st.integers(0, radix - 1)), draw(st.integers(0, radix - 1))))
+    return radix, lo, hi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(axis_sides())
+def test_walk_limits_stop_exactly_when_the_box_is_out_of_reach(case):
+    # Every distance, placement and count of moves left along one axis: a
+    # walk stops when fewer moves are left than its limit, read as the
+    # unrolled loop reads it (placement plus distance) and as the list scan
+    # does (the last coordinate, plus the radix walked down), exactly when no
+    # coordinate it has still to visit along the axis, the current one
+    # included, lies in [lo, hi].
+    radix, lo, hi = case
+    if lo > hi:
+        assert _avoid_box(MeshShape((radix,)), ()) == ((radix,), (hi,))
+    limits = _limits(radix, lo, hi)
+    assert len(limits) == 2 * radix
+    for x, (ways, _, lasts, signed) in enumerate(_placements(radix, 1)):
+        for p in range(ways):
+            last, step = lasts[p], signed[p]
+            limit = limits[p + x]
+            assert limit == limits[last + (radix if step < 0 else 0)]
+            for left in range(x + 1):
+                ahead = range(last - left * step, last + step, step)
+                stop = not any(lo <= y <= hi for y in ahead)
+                assert (left < limit) == stop, (x, p, left)
+
+
+@st.composite
 def tally_cases(draw):
     """A mesh with n 1..5 and radices 2..6 (2..3 when n = 5, to stay small),
     so each walk loop of the sample loop, the generic one included, meets the
-    reference loop; a fault set of scattered nodes, maybe with a corner and a
+    reference loop; a fault set of scattered nodes or, in half the cases, a
+    box, whose walks miss early on every axis, maybe with a corner and a
     full-width wall, an obstacle, a seed, and a sample range that starts on a
     block boundary and, in half the cases, crosses the next one."""
     n = draw(st.integers(1, 5))
     top = 3 if n == 5 else 6
     shape = MeshShape(tuple(draw(st.integers(2, top)) for _ in range(n)))
     nodes = list(shape.nodes())
-    density = draw(st.sampled_from((0.0, 0.05, 0.2, 0.4)))
-    rng = random.Random(draw(st.integers(0, 2**16)))
-    faults = {v for v in nodes if rng.random() < density}
+    if draw(st.booleans()):
+        ends = [(draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))) for r in shape.radices]
+        faults = set(Box(*zip(*map(sorted, ends))).nodes())
+    else:
+        density = draw(st.sampled_from((0.0, 0.05, 0.2, 0.4)))
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        faults = {v for v in nodes if rng.random() < density}
     if draw(st.booleans()):
         faults.add(tuple(draw(st.sampled_from((0, r - 1))) for r in shape.radices))
     if draw(st.booleans()):
@@ -289,9 +345,21 @@ def tally_cases(draw):
     return shape, faults, obstacle, seed, start, start + count
 
 
-def _reference_tally(table, faulty, avoid, seed, start, stop):
+def _reference_tally(shape, table, faulty, avoid, seed, start, stop):
     """The sample loop written plainly: rng.randrange ranks mapped by _pair_at,
-    redrawn while an endpoint is faulty, then _walk up to the first hit."""
+    redrawn while an endpoint is faulty, then _walk up to the first hit, or
+    up to the first node whose box with the last endpoint misses B, the
+    bounding box of the avoid nodes, all read from coordinates."""
+    strides = shape.padded_strides()
+    node_at = {padded_index(v, strides): v for v in shape.nodes()}
+    inside = [node_at[f] for f in avoid if f in node_at]
+    box = [(min(xs), max(xs)) for xs in zip(*inside)]
+
+    def misses(u, v):
+        return not inside or any(
+            max(x, y) < lo or min(x, y) > hi for x, y, (lo, hi) in zip(u, v, box)
+        )
+
     total = table[0][-1]
     hits = 0
     for lo in range(start, stop, _BLOCK):
@@ -303,9 +371,14 @@ def _reference_tally(table, faulty, avoid, seed, start, stop):
             if first in avoid or last in avoid:
                 hits += 1
                 continue
+            end = node_at[last]
+            if misses(node_at[first], end):
+                continue
             cur = first
             for i in _walk(rng, remaining):
                 cur += moves[i]
+                if misses(node_at[cur], end):
+                    break
                 if cur in avoid:
                     hits += 1
                     break
@@ -324,9 +397,11 @@ def test_sample_loop_matches_the_reference_loop(case):
         _check_sampleable(table, faulty)
     except ValueError:
         assume(False)
-    avoid = padded_indices(shape, _avoid_set(complex_, obstacle))
-    expected = _reference_tally(table, faulty, avoid, seed, start, stop)
-    assert _tally_range(table, faulty, avoid, seed, start, stop) == expected
+    avoid_nodes = _avoid_set(complex_, obstacle)
+    avoid = padded_indices(shape, avoid_nodes)
+    expected = _reference_tally(shape, table, faulty, avoid, seed, start, stop)
+    box = _avoid_box(shape, avoid_nodes)
+    assert _tally_range(table, faulty, avoid, box, seed, start, stop) == expected
 
 
 @st.composite
