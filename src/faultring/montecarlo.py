@@ -14,14 +14,17 @@ takes the length and the rank left over. The tables start from the per-axis
 weights of paths._fold and build a row when a sample first reads it (_row),
 in a plain list slot per length; samples draw long paths, so few rows are
 ever built. What is left of the rank at each axis, modulo the ways to place
-that distance, indexes the axis's placement tables, which hold the
-endpoints' offsets and the signed step. One of the pair's paths is then
-walked uniformly, one move at a time, inline in the sample loop
-(_tally_range), which stops at the first node in the avoid set, or as a
-miss once the walk can no longer reach B, the avoid set's bounding box
-(_limits): a pair whose own box misses B takes no walk at all. A pair with
-a faulty endpoint is redrawn; a scenario where that would stall is refused
-up front. _walk is the same walk as a generator, for sample_minimal_path.
+that distance x, is the placement p: it indexes the first endpoint's offset
+in the axis's list for x (_placements), and its spot, p + x, indexes the
+axis's three lists of 2r entries, the last endpoint's offset, the signed
+step and the walk limit. One of the pair's paths is then walked uniformly,
+one move at a time, inline in the sample loop (_tally_range), which stops
+at the first node in the avoid set, or as a miss once the walk can no
+longer reach B, the avoid set's bounding box, by the limit read at the
+spot (_limits): a pair whose own box misses B takes no walk at all. A pair
+with a faulty endpoint is redrawn; a scenario where that would stall is
+refused up front. _walk is the same walk as a generator, for
+sample_minimal_path.
 
 Determinism: samples come in fixed blocks of _BLOCK consecutive indices, and
 block b draws all of its samples, in order, from one generator seeded from
@@ -42,7 +45,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from operator import lt
+from operator import getitem, lt
 from typing import Iterator
 
 from faultring.faults import FaultComplex
@@ -141,36 +144,39 @@ def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
 
 
 def _placements(radix: int, stride: int, origin: int = 0):
-    """Per distance x along one axis, c(x) and, indexed by placement, the
-    first endpoint's offset, the last endpoint's offset and the signed step:
-    coordinate p and +stride for x = 0; for x > 0 and p < radix - x the low
-    corner p, walked up, and from there on the low corner p - (radix - x),
-    walked down. So the last endpoint's coordinate is p + x walked up and
-    p + x - radix walked down, which _limits reads. An offset is
-    origin + coordinate * stride. Every entry is one of the axis's radix
-    offsets or of its two step ints, so the lists hold references, not new
-    ints: 6.4 MiB for the three axes of a 300x300x300 mesh."""
+    """One axis's placement tables. Per distance x, c(x) and, by placement
+    p, the first endpoint's offset: coordinate p for x = 0; for x > 0 and
+    p < radix - x the low corner p, walked up, and from there on the high
+    corner p + 2x - radix, walked down. Either way the last endpoint's
+    coordinate is p + x, less radix walked down, so its offset and the
+    signed step are read at the spot p + x from two lists of 2 * radix
+    entries, the offsets twice and radix steps up then radix down, as
+    _limits is. An offset is origin + coordinate * stride, and every entry
+    refers to one of the axis's radix offsets or two steps rather than
+    holding a new int: the first offsets of an axis of radix 1000 take
+    7.8 MiB (tracemalloc), and the spot lists next to nothing.
+
+    Returns the per-distance (c(x), first offsets), the last offsets and
+    the steps."""
     offsets = [origin + i * stride for i in range(radix)]
-    places = [(radix, offsets, offsets, [stride] * radix)]
-    for x in range(1, radix):
-        lows, highs = offsets[: radix - x], offsets[x:]
-        signed = [stride] * len(lows) + [-stride] * len(lows)
-        places.append((2 * (radix - x), lows + highs, highs + lows, signed))
-    return places
+    places = [(radix, offsets)]
+    places += [(2 * (radix - x), offsets[: radix - x] + offsets[x:]) for x in range(1, radix)]
+    return places, offsets * 2, [stride] * radix + [-stride] * radix
 
 
-def _row(rows: list, places: list, before: list[int], length: int):
-    """Row L of one axis of the pair table, built from the fold's weights
-    before the axis and the axis's placement tables, whose entry at distance
-    x starts with c(x), and kept in the axis's slot for L: the least
-    distance, max(0, L + 1 - len(before)); the divisors c(x) * comb(L, x) for
-    the distances from it up, each binomial the last times (L - x) / (x + 1);
-    and the weight below each distance and of all, the running sums of
-    before[L - x] * divisor. Callers read a slot and call this when it is
-    still None; the row layout lives here alone."""
+def _row(axis: tuple, length: int):
+    """Row L of one bisected axis of the pair table (_pair_table), built
+    from the fold's weights before the axis and the axis's placement tables,
+    whose entry at distance x starts with c(x), and kept in the axis's slot
+    for L: the least distance, max(0, L + 1 - len(before)); the divisors
+    c(x) * comb(L, x) for the distances from it up, each binomial the last
+    times (L - x) / (x + 1); and the weight below each distance and of all,
+    the running sums of before[L - x] * divisor. Callers read a slot and
+    call this when it is still None; the row layout lives here alone."""
+    rows, places, before, *_ = axis
     least = max(0, length + 1 - len(before))
     divisors, ways = [], math.comb(length, least)
-    for x, (c, *_) in enumerate(places[least : length + 1], least):
+    for x, (c, _) in enumerate(places[least : length + 1], least):
         divisors.append(ways * c)
         ways = ways * (length - x) // (x + 1)
     parts = (before[length - x] * d for x, d in enumerate(divisors, least))
@@ -201,8 +207,9 @@ def _pair_table(shape: MeshShape, folds: list[list[int]] | None = None):
 
     Returns the weight below each length from 1 on, and of all pairs; the
     axes from the last to the second, each as (a slot per length, None until
-    _row builds the row; its placement tables, from _placements on its
-    padded stride; the fold's weights before it); axis 0's placement tables
+    _row builds the row; its placement tables by distance; the fold's
+    weights before it; its last offsets and its steps by spot), the tables
+    from _placements on its padded stride; axis 0's tables from _placements
     alone, their offsets counted from the padded index of node 0, since
     axis 0 takes the length and the rank left over (see _pair_at); a walk
     slot per length, None until _walk_steps fills it, but for the longest
@@ -211,26 +218,28 @@ def _pair_table(shape: MeshShape, folds: list[list[int]] | None = None):
     """
     folds = folds or _fold(_axis_counts(0, r - 1, 0, r - 1) for r in shape.radices)
     strides = shape.padded_strides()
-    places = [_placements(r, s) for r, s in zip(shape.radices[1:], strides[1:])]
-    axes = [([None] * len(w), p, before) for before, w, p in zip(folds[1:], folds[2:], places)]
-    first_axis = _placements(shape.radices[0], strides[0], sum(strides))
+    origins = [sum(strides)] + [0] * (shape.n - 1)
+    places = [_placements(*axis) for axis in zip(shape.radices, strides, origins)]
+    tables = zip(folds[1:], folds[2:], places[1:])
+    axes = [([None] * len(w), p, b, lasts, steps) for b, w, (p, lasts, steps) in tables]
     lengths = list(accumulate(folds[-1][1:], initial=0))
     steps = tuple((left, left.bit_length()) for left in range(len(lengths) - 1, 0, -1))
-    return lengths, axes[::-1], first_axis, [None] * len(steps) + [steps], folds
+    return lengths, axes[::-1], places[0], [None] * len(steps) + [steps], folds
 
 
 def _pair_at(table, rank: int):
     """The ordered pair of distinct nodes that a rank below the weight of all
     pairs names; every pair is named by as many ranks as it has minimal paths.
 
-    Returns the endpoints' padded flat indices, the signed flat step of each
-    axis and the number of moves left along each axis (a new list the walk
-    may consume), both from the last axis to the first, and the path length.
-    Bisection maps the rank to a length, then, from the last axis to the
-    second, to a distance x. Less the weight below x, the rank's quotient by
-    x's divisor is the rank among the axes before, and its remainder modulo
-    c_j(x), which divides the divisor, is the placement, which indexes the
-    axis's tables at x. Axis 0's row at the length left holds that one
+    Returns the endpoints' padded flat indices, then, from the last axis to
+    the first, the signed flat step of each axis, the number of moves left
+    along it (a new list the walk may consume) and its spot, and the path
+    length. Bisection maps the rank to a length, then, from the last axis
+    to the second, to a distance x. Less the weight below x, the rank's
+    quotient by x's divisor is the rank among the axes before, and its
+    remainder modulo c_j(x), which divides the divisor, is the placement p,
+    which indexes the first offsets at x; the spot p + x indexes the last
+    offsets and the steps. Axis 0's row at the length left holds that one
     distance, and the rank left lies below its divisor, c_0(x): it is axis
     0's placement, found without a search. The path itself is a further
     draw: _walk, or its inline copy in _tally_range."""
@@ -238,25 +247,30 @@ def _pair_at(table, rank: int):
     length = bisect_right(lengths, rank)
     rank -= lengths[length - 1]
     first = last = 0
-    remaining, moves = [], []
+    moves, remaining, at = [], [], []
     left = length
-    for rows, places, before in axes:
-        starts, least, divisors = rows[left] or _row(rows, places, before, left)
+    for axis in axes:
+        rows, places, _, lasts, steps = axis
+        starts, least, divisors = rows[left] or _row(axis, left)
         k = bisect_right(starts, rank) - 1
         x = least + k
         rank -= starts[k]
-        ways, firsts, lasts, signed = places[x]
-        place = rank % ways
+        ways, firsts = places[x]
+        spot = rank % ways
         rank //= divisors[k]
-        first += firsts[place]
-        last += lasts[place]
+        first += firsts[spot]
+        spot += x
+        last += lasts[spot]
+        moves.append(steps[spot])
         remaining.append(x)
-        moves.append(signed[place])
+        at.append(spot)
         left -= x
-    _, firsts, lasts, signed = first_axis[left]
+    places, lasts, steps = first_axis
+    spot = rank + left
+    moves.append(steps[spot])
     remaining.append(left)
-    moves.append(signed[rank])
-    return first + firsts[rank], last + lasts[rank], moves, remaining, length
+    at.append(spot)
+    return first + places[left][1][rank], last + lasts[spot], moves, remaining, at, length
 
 
 def _avoid_box(shape: MeshShape, nodes) -> tuple[Coord, Coord]:
@@ -270,8 +284,9 @@ def _limits(radix: int, lo: int, hi: int) -> list[int]:
     """The fewest moves left along one axis at which a walk can still meet
     [lo, hi], B's side on the axis, by the last endpoint's coordinate e
     walked up, then by e walked down, so that a placement p at distance x
-    (_placements) reads index p + x: e - hi up and lo - e down, or radix,
-    above any count, when the walk never meets it (e < lo up, e > hi down).
+    reads it at its spot p + x, as it reads its last offset and step
+    (_placements): e - hi up and lo - e down, or radix, above any count,
+    when the walk never meets it (e < lo up, e > hi down).
     Along the axis, a walk with m moves left covers the coordinates from its
     current one, e - m up or e + m down, to e; with fewer moves left than
     the limit none of them lies in [lo, hi], so neither the current node nor
@@ -332,39 +347,36 @@ def _tally_range(
     makes every sample an immediate miss; in a walk only the axis just moved
     can start to miss, and it is tested before the avoid lookup.
 
-    On 3 and 4 axes one unrolled loop decodes the pair inline, each axis's
-    placement read from its tables at the distance drawn (the third decoded
-    axis only on 4 axes), and walks it with each axis's moves left, limit
-    and flat step in local variables, picking the axis by comparing x with
-    the moves left: x < a, then x - a < b, then x - a - b < c, which never
+    Both loops read each axis's last offset, step and limit at one index,
+    its spot, the placement plus the distance. On 3 and 4 axes one unrolled
+    loop decodes the pair inline, as _pair_at does (the third decoded axis
+    only on 4 axes), and walks it with each axis's moves left, limit and
+    flat step in local variables, picking the axis by comparing x with the
+    moves left: x < a, then x - a < b, then x - a - b < c, which never
     holds on 3 axes, where c and its limit stay 0; axis 0 takes the rest.
-    It reads a limit at the placement plus the distance. Every other axis
-    count calls _pair_at, scans the lists it returns, and reads each limit
-    by the last endpoint's coordinate, found from its padded index, and the
-    sign of the axis's step. Both loops pick the pair and the axis
-    _pair_at and the scan would, and stop where the other would, so the
-    stream does not depend on which one runs. The table gains the rows and
-    walks read for the first time and changes in nothing else.
+    Every other axis count calls _pair_at and scans the lists it returns,
+    reading the limits at the spots it returns. Both loops pick the pair
+    and the axis _pair_at and the scan would, and stop where the other
+    would, so the stream does not depend on which one runs. The table gains
+    the rows and walks read for the first time and changes in nothing else.
     """
     lengths, axes, first_axis, walks, _ = table
     total = lengths[-1]
     total_bits = total.bit_length()
     n = len(axes) + 1
-    # Per axis from the last to the first, as the table lists them; each
-    # axis's tables at distance 0 give its radix and its stride.
-    zeros = [places[0] for _, places, _ in axes] + [first_axis[0]]
-    limits = [_limits(radix, lo, hi) for (radix, *_), lo, hi in zip(zeros, *map(reversed, box))]
+    # Per axis from the last to the first, as the table lists them; an
+    # axis's steps, its last table, hold two per coordinate.
+    steps = [axis[-1] for axis in axes] + [first_axis[-1]]
+    limits = [_limits(len(s) // 2, lo, hi) for s, lo, hi in zip(steps, *map(reversed, box))]
     unrolled = n == 3 or n == 4
     if unrolled:
         ends_a, ends_b, ends_c, ends_0 = limits[0], limits[1], limits[-2], limits[-1]
-        (rows_a, places_a, _), (rows_b, places_b, _) = axis_a, axis_b = axes[:2]
+        (rows_a, places_a, _, la, sa), (rows_b, places_b, _, lb, sb) = axis_a, axis_b = axes[:2]
+        places_0, l0, s0 = first_axis
         if n == 4:
-            (rows_c, places_c, _) = axis_c = axes[2]
+            (rows_c, places_c, _, lc, sc) = axis_c = axes[2]
         # On 3 axes these stay 0: the walk's third test never fires.
         c = mc = tc = 0
-    else:
-        # A padded index's digit along an axis is the coordinate plus 1.
-        scales = [(z[3][0], z[0] + 2, z[0], [0] + t) for z, t in zip(zeros, limits)]
     check_ends = not avoid <= faulty
     hits = 0
     for lo in range(start, stop, _BLOCK):
@@ -377,44 +389,45 @@ def _tally_range(
                 if unrolled:
                     length = bisect_right(lengths, rank)
                     rank -= lengths[length - 1]
-                    starts, least, divisors = rows_a[length] or _row(*axis_a, length)
+                    starts, least, divisors = rows_a[length] or _row(axis_a, length)
                     k = bisect_right(starts, rank) - 1
                     rank -= starts[k]
                     a = least + k
-                    ways, fa, la, sa = places_a[a]
+                    ways, fa = places_a[a]
                     p = rank % ways
                     rank //= divisors[k]
                     left = length - a
-                    starts, least, divisors = rows_b[left] or _row(*axis_b, left)
+                    starts, least, divisors = rows_b[left] or _row(axis_b, left)
                     k = bisect_right(starts, rank) - 1
                     rank -= starts[k]
                     b = least + k
-                    ways, fb, lb, sb = places_b[b]
+                    ways, fb = places_b[b]
                     q = rank % ways
                     rank //= divisors[k]
                     left -= b
                     cur = fa[p] + fb[q]
+                    p, q = p + a, q + b
                     last = la[p] + lb[q]
-                    ta, tb = ends_a[p + a], ends_b[q + b]
+                    ta, tb = ends_a[p], ends_b[q]
                     if n == 4:
-                        starts, least, divisors = rows_c[left] or _row(*axis_c, left)
+                        starts, least, divisors = rows_c[left] or _row(axis_c, left)
                         k = bisect_right(starts, rank) - 1
                         rank -= starts[k]
                         c = least + k
-                        ways, fc, lc, sc = places_c[c]
+                        ways, fc = places_c[c]
                         u = rank % ways
                         rank //= divisors[k]
                         left -= c
                         cur += fc[u]
+                        u += c
                         last += lc[u]
-                        mc = sc[u]
-                        tc = ends_c[u + c]
-                    _, f0, l0, s0 = first_axis[left]
-                    cur += f0[rank]
+                        mc, tc = sc[u], ends_c[u]
+                    cur += places_0[left][1][rank]
+                    rank += left
                     last += l0[rank]
-                    d, td = left, ends_0[rank + left]
+                    d, td = left, ends_0[rank]
                 else:
-                    cur, last, moves, remaining, length = _pair_at(table, rank)
+                    cur, last, moves, remaining, at, length = _pair_at(table, rank)
                 if cur not in faulty and last not in faulty:
                     break
             if check_ends and (cur in avoid or last in avoid):
@@ -452,7 +465,7 @@ def _tally_range(
                         hits += 1
                         break
             else:
-                ends = [t[last // s % w + (m < 0) * r] for (s, w, r, t), m in zip(scales, moves)]
+                ends = list(map(getitem, limits, at))
                 if any(map(lt, remaining, ends)):
                     continue
                 for left, k in walks[length] or _walk_steps(walks, length):
@@ -555,20 +568,17 @@ def compare_with_exact(
     """Run both the exact engine, with its default options, and the estimator
     and flag disagreement.
 
-    Disagreement beyond SIGMA_LIMIT standard errors (or any disagreement when
-    the standard error is zero) fails the comparison.
+    Disagreement beyond SIGMA_LIMIT standard errors fails the comparison.
+    When every sample hits or none does, the estimate's standard error is
+    zero, and the gap is measured instead in the standard error of an
+    estimate of the exact value p, sqrt(p (1 - p) / samples): so a correct
+    estimate near p = 0 or 1 passes, and only at p exactly 0 or 1 does any
+    gap fail. An estimate with a positive standard error is measured in it.
     """
     exact = compute_reliability(shape, complex_, obstacle=obstacle)
     estimate = estimate_p_hit(shape, complex_, config, obstacle=obstacle)
-    abs_error = abs(estimate.p_hat - float(exact.p_hit))
-    if estimate.std_error > 0:
-        sigma = abs_error / estimate.std_error
-    else:
-        sigma = 0.0 if abs_error == 0 else math.inf
-    return McComparison(
-        exact_p_hit=exact.p_hit,
-        estimate=estimate,
-        abs_error=abs_error,
-        sigma_distance=sigma,
-        ok=sigma <= SIGMA_LIMIT,
-    )
+    p = float(exact.p_hit)
+    abs_error = abs(estimate.p_hat - p)
+    scale = estimate.std_error or math.sqrt(p * (1 - p) / estimate.samples)
+    sigma = abs_error / scale if scale else 0.0 if abs_error == 0 else math.inf
+    return McComparison(exact.p_hit, estimate, abs_error, sigma, sigma <= SIGMA_LIMIT)

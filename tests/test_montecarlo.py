@@ -6,7 +6,10 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -159,6 +162,24 @@ def test_estimate_agrees_under_fault_obstacle():
     assert comparison.exact_p_hit < strict.exact_p_hit
 
 
+def test_estimate_with_no_spread_is_measured_in_the_exact_values_error(monkeypatch):
+    # An 8x8 block in a 12x12 mesh leaves p_hit = 0.99996 under "blocked", so
+    # every seed's 2000 samples all hit and the estimate's standard error is
+    # 0. The gap, 4.1e-5, is then measured in the standard error of an
+    # estimate of p, sqrt(p (1 - p) / 2000) = 1.4e-4: 0.288 sigma, not inf.
+    shape = MeshShape((12, 12))
+    complex_ = build_complex(shape, RectFault((2, 2), (8, 8)))
+    for seed in range(10):
+        comparison = compare_with_exact(shape, complex_, McConfig(samples=2000, seed=seed))
+        assert comparison.estimate.std_error == 0 and comparison.ok, seed
+        assert comparison.sigma_distance == pytest.approx(0.2877, abs=1e-4), seed
+    # At p exactly 0 or 1 an estimate has no spread either, so any gap fails.
+    never = replace(compute_reliability(shape, complex_), p_hit=Fraction(0))
+    monkeypatch.setattr(montecarlo, "compute_reliability", lambda *args, **kwargs: never)
+    comparison = compare_with_exact(shape, complex_, McConfig(samples=2000, seed=0))
+    assert comparison.sigma_distance == math.inf and not comparison.ok
+
+
 def test_single_sample_has_zero_std_error():
     shape = MeshShape((4, 4))
     complex_ = build_complex(shape, RectFault((1, 1), (1, 1)))
@@ -201,7 +222,7 @@ def test_pair_draws_follow_path_counts():
     rng = random.Random(31)
     counts = Counter()
     for _ in range(200_000):
-        first, last, moves, remaining, length = _pair_at(table, rng.randrange(table[0][-1]))
+        first, last, moves, remaining, _, length = _pair_at(table, rng.randrange(table[0][-1]))
         assert sum(remaining) == length
         cur = first
         for i in _walk(rng, remaining):
@@ -439,7 +460,7 @@ def test_every_rank_names_a_pair_once_per_minimal_path(radices):
     table = _pair_table(shape)
     counts = Counter()
     for rank in range(table[0][-1]):
-        first, last, moves, remaining, length = _pair_at(table, rank)
+        first, last, moves, remaining, _, length = _pair_at(table, rank)
         assert length == sum(abs(x - y) for x, y in zip(node_at[first], node_at[last]))
         cur = first
         for i in _walk(random.Random(rank), remaining):
@@ -480,14 +501,15 @@ def _plain_pair_at(shape, weights, rank):
     _placements(radix, x) * comb(L, x) is the rank among the axes before, and
     its remainder modulo _placements(radix, x) the placement: for x > 0,
     whether the pair is flipped (first above last) and the low corner, as
-    divmod(placement, radix - x)."""
+    divmod(placement, radix - x). An axis's spot is its last coordinate,
+    plus the radix when the pair is flipped."""
     radices, strides = shape.radices, shape.padded_strides()
     length = 1
     while rank >= weights[-1][length]:
         rank -= weights[-1][length]
         length += 1
     first, last = [0] * shape.n, [0] * shape.n
-    moves, remaining = [], []
+    moves, remaining, spots = [], [], []
     left = length
     for j in reversed(range(shape.n)):
         before = weights[j - 1] if j else [1]
@@ -504,8 +526,10 @@ def _plain_pair_at(shape, weights, rank):
         first[j], last[j] = (low + x, low) if flip else (low, low + x)
         moves.append(-strides[j] if flip else strides[j])
         remaining.append(x)
+        spots.append(last[j] + flip * radices[j])
         left -= x
-    return padded_index(first, strides), padded_index(last, strides), moves, remaining, length
+    first, last = padded_index(first, strides), padded_index(last, strides)
+    return first, last, moves, remaining, spots, length
 
 
 @pytest.mark.parametrize("radices", [(6,), (4, 3), (3, 4, 2), (2, 3, 2, 2), (2, 2, 2, 2, 2)])
@@ -583,14 +607,14 @@ def test_sample_loop_leaves_the_pair_table_unchanged(radices):
     for axis, old, new in zip(table[1], before[1], fresh[1]):
         assert not any(old[0]) and axis[1:] == old[1:] and len(axis[0]) == len(old[0])
         built = [length for length, row in enumerate(axis[0]) if row]
-        assert built and all(axis[0][length] == _row(*new, length) for length in built)
+        assert built and all(axis[0][length] == _row(new, length) for length in built)
     walks, old_walks = table[3], before[3]
     assert not any(old_walks[:-1]) and walks[-1] == old_walks[-1] and len(walks) == len(old_walks)
     built = [length for length, walk in enumerate(walks[:-1]) if walk]
     assert built and all(walks[length] == walks[-1][-length:] for length in built)
     assert table[0] == before[0] and table[2] == before[2] and table[4] == before[4]
     one, two = _pair_at(table, 0), _pair_at(table, 0)
-    assert one == two and one[2] is not two[2] and one[3] is not two[3]
+    assert one == two and all(one[i] is not two[i] for i in (2, 3, 4))
 
 
 @pytest.mark.parametrize("radices", [reference_row(5).radices, reference_row(6).radices, (12,) * 3])
@@ -621,7 +645,7 @@ print(denominator, peak() - base)
 def test_pair_table_and_denominator_keep_no_rows_on_300_cubed():
     # The fold keeps weights only and the pair table builds a row when a
     # sample first reads it, so on 300x300x300 the denominator's peak grows
-    # by well under a MiB and the table's by its 6.4 MiB of placement
+    # by well under a MiB and the table's by its 2.2 MiB of placement
     # tables; when the fold kept every row and the table turned each into
     # its own copy, the two grew by 11-30 and 71-89 MiB. tracemalloc would trace
     # every integer of the fold and take seconds, so the peak resident size
@@ -634,6 +658,22 @@ def test_pair_table_and_denominator_keep_no_rows_on_300_cubed():
     ).stdout
     denominator, table = map(float, out.split())
     assert denominator < 4 and table < 16, (denominator, table)
+
+
+def test_placement_tables_of_a_radix_1000_axis_hold_under_12_mib():
+    # Axis 0 of a 1000^3 mesh, on its padded stride and origin, as
+    # _pair_table builds it: one list of first offsets per distance, about
+    # r^2 references, and two spot lists of 2r entries, 7.8 MiB. With the
+    # last offsets and the steps kept per distance as well, three r^2 lists
+    # took 23.2 MiB.
+    tracemalloc.start()
+    try:
+        tables = montecarlo._placements(1000, 1002**2, 1002**2 + 1003)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del tables
+    assert held < 12 * 2**20, held / 2**20
 
 
 def test_importing_the_package_leaves_multiprocessing_out():

@@ -1,6 +1,7 @@
 """Property tests: the all-pairs engine against the per-pair oracles, its
 invariance under the symmetries of the mesh, the closed-form denominator of
-box faults against the engine, the per-axis fold of box-to-box path weights
+box faults against the engine, the entry-edge form of the paths that miss a
+box against the per-pair engines, the per-axis fold of box-to-box path weights
 against per-pair counts, the Monte-Carlo pair table's rows against their
 definition, the sampled cross-check's unranked pairs against the walked
 ones, the Monte-Carlo sample loop against a reference loop,
@@ -17,7 +18,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faultring.faults import ArbitraryFault, OverlapFault, RectFault, build_complex, ring_of
-from faultring.mesh import Box, MeshShape, is_connected, neighbors, padded_index, padded_indices
+from faultring.mesh import (
+    Box,
+    MeshShape,
+    bounding_box,
+    is_connected,
+    neighbors,
+    padded_index,
+    padded_indices,
+)
 from faultring.montecarlo import (
     _BLOCK,
     _SEED_SPAN,
@@ -32,7 +41,14 @@ from faultring.montecarlo import (
     _tally_range,
     _walk,
 )
-from faultring.paths import avoiding_brute, multinomial, path_count
+from faultring.paths import (
+    avoiding_brute,
+    avoiding_det,
+    avoiding_dp,
+    multinomial,
+    path_count,
+    restriction_points,
+)
 from faultring.reliability import (
     CROSS_CHECKS,
     ENGINES,
@@ -203,6 +219,69 @@ def test_box_weight_sums_path_counts_over_box_pairs(boxes):
     assert _box_weight(x, y) == sum(path_count(a, b) for a in x.nodes() for b in y.nodes())
 
 
+@st.composite
+def boxes_and_outside_pairs(draw):
+    """A mesh with n 1..4 and radices 2..6, a box B in it whose side on each
+    axis lies anywhere, touches a border or spans the axis, and two nodes a
+    and b outside B, maybe equal, in most cases with B meeting their
+    bounding box."""
+    radices = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    sides = []
+    for r in radices:
+        kind = draw(st.sampled_from(("any", "any", "border", "whole")))
+        if kind == "whole":
+            sides.append((0, r - 1))
+        elif kind == "border":
+            sides.append(sorted((draw(st.sampled_from((0, r - 1))), draw(st.integers(0, r - 1)))))
+        else:
+            sides.append(sorted((draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1)))))
+    box = Box(*zip(*sides))
+    outside = [v for v in MeshShape(tuple(radices)).nodes() if not box.contains(v)]
+    assume(outside)
+    a = draw(st.sampled_from(outside))
+    across = [
+        v
+        for v in outside
+        if all(min(x, y) <= hi and max(x, y) >= lo for x, y, lo, hi in zip(a, v, box.lo, box.hi))
+    ]
+    if across and draw(st.integers(0, 3)):
+        return box, a, draw(st.sampled_from(across))
+    return box, a, draw(st.sampled_from(outside))
+
+
+def _entry_edge_avoiding(a, b, box):
+    """The minimal a->b paths that miss B, for a and b outside it: P(a, b)
+    less the paths through each entry edge u -> v, v in B and u outside. A
+    monotone path meets a box in one contiguous run, so it enters B once,
+    by one such edge, and none of its part up to u meets B: that edge
+    carries P(a, u) * P(v, b) paths. v lies in bbox(a, b), and u = v - s_i e_i,
+    s the a->b direction, for an axis i with v_i != a_i."""
+    steps = [1 if y >= x else -1 for x, y in zip(a, b)]
+    span = bounding_box(a, b)
+    sides = zip(box.lo, box.hi, span.lo, span.hi)
+    inside = [range(max(lo, sl), min(hi, sh) + 1) for lo, hi, sl, sh in sides]
+    through = 0
+    for v in product(*inside):
+        for i, (x, y, s) in enumerate(zip(v, a, steps)):
+            u = v[:i] + (x - s,) + v[i + 1 :]
+            if x != y and not box.contains(u):
+                through += path_count(a, u) * path_count(v, b)
+    return path_count(a, b) - through
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(boxes_and_outside_pairs())
+def test_entry_edge_form_counts_the_paths_that_miss_a_box(case):
+    # The entry-edge form, a closed form in path counts, against the per-pair
+    # dp sweep, and against the determinant wherever its matrix stays small.
+    box, a, b = case
+    expected = _entry_edge_avoiding(a, b, box)
+    assert avoiding_dp(a, b, box.nodes()) == expected
+    points = restriction_points(a, b, box.nodes())
+    if len(points) <= 40:
+        assert avoiding_det(a, b, points) == expected
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(st.lists(st.integers(2, 6), min_size=2, max_size=4))
 def test_pair_table_rows_list_each_distance_in_ascending_order(radices):
@@ -227,7 +306,7 @@ def test_pair_table_rows_list_each_distance_in_ascending_order(radices):
             divisors = [math.comb(length, x) * c(radices[j], x) for x in xs]
             parts = [before[length - x] * d for x, d in zip(xs, divisors)]
             row = (list(accumulate(parts, initial=0)), xs[0], divisors)
-            assert _row(*axis, length) == row and axis[0][length] == row
+            assert _row(axis, length) == row and axis[0][length] == row
         assert len(axis[0]) == length + 1
 
 
@@ -292,21 +371,21 @@ def axis_sides(draw):
 @given(axis_sides())
 def test_walk_limits_stop_exactly_when_the_box_is_out_of_reach(case):
     # Every distance, placement and count of moves left along one axis: a
-    # walk stops when fewer moves are left than its limit, read as the
-    # unrolled loop reads it (placement plus distance) and as the list scan
-    # does (the last coordinate, plus the radix walked down), exactly when no
-    # coordinate it has still to visit along the axis, the current one
-    # included, lies in [lo, hi].
+    # walk stops when fewer moves are left than its limit, read with the
+    # last endpoint and the step at the spot (placement plus distance), as
+    # the sample loops read them, exactly when no coordinate it has still to
+    # visit along the axis, the current one included, lies in [lo, hi]. The
+    # first endpoint lies the distance back from the last, against the step.
     radix, lo, hi = case
     if lo > hi:
         assert _avoid_box(MeshShape((radix,)), ()) == ((radix,), (hi,))
     limits = _limits(radix, lo, hi)
-    assert len(limits) == 2 * radix
-    for x, (ways, _, lasts, signed) in enumerate(_placements(radix, 1)):
+    places, lasts, steps = _placements(radix, 1)
+    assert len(limits) == len(lasts) == len(steps) == 2 * radix
+    for x, (ways, firsts) in enumerate(places):
         for p in range(ways):
-            last, step = lasts[p], signed[p]
-            limit = limits[p + x]
-            assert limit == limits[last + (radix if step < 0 else 0)]
+            last, step, limit = lasts[p + x], steps[p + x], limits[p + x]
+            assert firsts[p] == last - x * step and 0 <= firsts[p] < radix
             for left in range(x + 1):
                 ahead = range(last - left * step, last + step, step)
                 stop = not any(lo <= y <= hi for y in ahead)
@@ -365,9 +444,9 @@ def _reference_tally(shape, table, faulty, avoid, seed, start, stop):
     for lo in range(start, stop, _BLOCK):
         rng = random.Random(seed * _SEED_SPAN + lo // _BLOCK)
         for _ in range(min(_BLOCK, stop - lo)):
-            first, last, moves, remaining, _ = _pair_at(table, rng.randrange(total))
+            first, last, moves, remaining, *_ = _pair_at(table, rng.randrange(total))
             while first in faulty or last in faulty:
-                first, last, moves, remaining, _ = _pair_at(table, rng.randrange(total))
+                first, last, moves, remaining, *_ = _pair_at(table, rng.randrange(total))
             if first in avoid or last in avoid:
                 hits += 1
                 continue
