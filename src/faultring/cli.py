@@ -1,9 +1,10 @@
 """Command-line surface: analyze, simulate, table2, and validate.
 
 All behavior is flag-driven; no environment variables are consulted. A
---budget is a ceiling on the exact engine's predicted cost (see
-reliability.predicted_cost): analyze refuses a valid scenario above it
-before any exact work, and table2 skips the rows above it. Exit codes: 0
+--budget is a ceiling on the predicted cost of the exact run (see
+reliability.predicted_cost): cells for the dp passes, plus (m + 1)^3 for
+each determinant the run evaluates. analyze refuses a valid scenario above
+it before any exact work, and table2 skips the rows above it. Exit codes: 0
 success, 2 scenario or usage error (analyze over budget, or simulate on a
 scenario whose faults hold nearly all path weight), 3 validation failure,
 checked first, 4 engine cross-check failure, 5 rows skipped under the table2

@@ -118,22 +118,49 @@ def _sampled_pairs(shape: MeshShape, avoid: frozenset[Coord]) -> Iterator[tuple[
         yield node(free - 2 - t), node(free - 1 - q + t * (t + 1) // 2)
 
 
-def predicted_cost(shape: MeshShape) -> int:
-    """Cells relaxed by the exact engine over both sums: 3^n * n * N.
+def predicted_cost(
+    shape: MeshShape, complex_: FaultComplex | None = None, engine: Engine = "dp",
+    cross_check: CrossCheck = "off", obstacle: Obstacle = "blocked",
+) -> float:
+    """The price of the exact run miss_paths(shape, complex_, engine, cross_check,
+    obstacle) makes: cells for the dp passes, plus (m + 1)^3 for each
+    determinant the run evaluates, m that pair's restriction points. Every
+    `budget` is a ceiling on this price, and nothing else computes a cost.
 
-    Each sum makes (3^n - 1) / 2 passes over the N nodes, and a pass relaxes
-    at most n predecessors per node. Every `budget` is a ceiling on this count.
-    It stays the dp cost of both sums even where total_paths is closed-form.
+    The dp passes relax 3^n * n * N cells: each sum makes (3^n - 1) / 2 passes
+    over the N nodes, and a pass relaxes at most n predecessors per node. They
+    are charged whenever engine is "dp", also where total_paths is closed-form
+    or the obstacle is empty. Under cross_check "sample" the determinants of
+    the sampled pairs are summed exactly. Under engine "det" or cross_check
+    "full" every free pair takes one, with m the expected number of obstacle
+    nodes inside a random pair's bounding box, counting only the obstacle
+    nodes inside the mesh. The per-pair dp of a cross-check is left out: each
+    runs over its pair's bounding box, far below its determinant. So is the
+    denominator's dp, which det runs only for faults that do not fill a box.
     """
-    return 3**shape.n * shape.n * shape.node_count
+    cost = 3**shape.n * shape.n * shape.node_count if engine == "dp" else 0
+    if engine == "dp" and cross_check == "off":
+        return cost
+    avoid = _avoid_set(complex_, obstacle)
+    sampled = _sampled_pairs(shape, avoid) if cross_check == "sample" else ()
+    cost += sum((len(restriction_points(a, b, avoid)) + 1) ** 3 for a, b in sampled)
+    if engine == "det" or cross_check == "full":
+        # ring_of clips the ring to the mesh, so only fault nodes can lie outside it.
+        inside = len(avoid) - sum(not shape.contains(v) for v in complex_.faults)
+        free = shape.node_count - inside
+        # The share of the mesh in a random pair's box: mean |x - y| + 1 over r, per axis.
+        box_fraction = math.prod(((r * r - 1) / (3 * r) + 1) / r for r in shape.radices)
+        cost += free * (free - 1) / 2 * (inside * box_fraction + 1) ** 3
+    return cost
 
 
-def check_budget(shape: MeshShape, budget: float) -> None:
+def check_budget(shape: MeshShape, budget: float, *run) -> None:
     """Raise ValueError unless budget is a positive number (NaN is refused, not
-    read as no ceiling) and at least the shape's predicted_cost."""
+    read as no ceiling) and at least predicted_cost(shape, *run), the price of
+    the run that run's complex, engine, cross_check and obstacle describe."""
     if not budget > 0:
         raise ValueError(f"budget must be a positive number, got {budget!r}")
-    cost = predicted_cost(shape)
+    cost = predicted_cost(shape, *run)
     if cost > budget:
         raise ValueError(f"predicted cost {cost:.3g} exceeds budget {budget:.3g}")
 
@@ -332,26 +359,14 @@ def select_engine(
     cross_check None reads as "off"; any other value outside CROSS_CHECKS,
     an empty string or False included, raises ValueError.
 
-    predicted_det_cost is reported, not consulted: the determinant engine
-    costs roughly (pairs) * (m + 1)^3 big-integer operations, with m the
-    expected number of obstacle nodes inside a random pair's bounding box.
-    Both count only the obstacle nodes inside the mesh, as miss_paths does.
+    predicted_det_cost is predicted_cost's price for the det engine alone:
+    one determinant per free pair, whichever engine is picked.
     """
     _require_choice("engine", policy, ENGINES)
     cross_check = "off" if cross_check is None else cross_check
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
-    avoid = _avoid_set(complex_, obstacle)
-    # ring_of clips the ring to the mesh, so only fault nodes can lie outside it.
-    inside = len(avoid) - sum(not shape.contains(v) for v in complex_.faults)
-    free = shape.node_count - inside
-    pairs = free * (free - 1) / 2
-    box_fraction = 1.0
-    for r in shape.radices:
-        expected_span = (r * r - 1) / (3 * r) + 1  # mean |x - y| + 1 over a random pair
-        box_fraction *= expected_span / r
-    expected_m = inside * box_fraction
-    det_cost = pairs * (expected_m + 1) ** 3
     engine: Engine = "det" if policy == "det" else "dp"
+    det_cost = predicted_cost(shape, complex_, "det", "off", obstacle)
     return EngineChoice(engine, cross_check, det_cost)
 
 
@@ -391,13 +406,15 @@ def compute_reliability(
     distinct non-faulty nodes. A fault-free complex takes the same path: the
     requested engine and cross-check run, and every route misses.
 
-    A scenario whose predicted_cost exceeds budget, or an unknown engine,
-    cross_check or obstacle name, raises ValueError before any work. workers
+    An unknown engine, cross_check or obstacle name, or a scenario whose
+    predicted_cost exceeds budget, raises ValueError before any work. The
+    price is that of the run the resolved engine and cross-check make: cells
+    for the dp passes, plus (m + 1)^3 for each determinant it evaluates. workers
     is accepted and ignored: the exact engine runs in one process, and only
     the Monte-Carlo estimator uses workers.
     """
-    check_budget(shape, budget)
     choice = select_engine(shape, complex_, engine, cross_check, obstacle)
+    check_budget(shape, budget, complex_, choice.engine, choice.cross_check, obstacle)
     denominator = total_paths(shape, complex_.faults)
     missing = miss_paths(shape, complex_, choice.engine, choice.cross_check, obstacle)
     p_miss = Fraction(missing, denominator)

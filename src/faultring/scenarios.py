@@ -12,9 +12,10 @@ A scenario is a single JSON object:
 
 "mesh" is required. A field left out takes the default shown above, which
 only its record declares: AnalysisOptions for "analysis", montecarlo.McConfig
-for "mc". The budget is a ceiling on the exact engine's predicted cost
-(reliability.predicted_cost); analysis refuses a scenario above it, and an
-integer budget beyond the float range reads as inf. Fault entries may be
+for "mc". The budget is a ceiling on the predicted cost of the exact run
+(reliability.predicted_cost): cells for the dp passes, plus (m + 1)^3 for
+each determinant the run evaluates. Analysis refuses a scenario above it,
+and an integer budget beyond the float range reads as inf. Fault entries may be
 "rect" (origin + extents), "overlap" (a list of rects under "blocks"), or
 "arbitrary" (explicit "nodes"). Several entries form one union of their
 node sets; only an "overlap" entry is checked for blocks that meet.

@@ -22,6 +22,8 @@ TWO_RECTS = (
     '{"mesh":[10,10],"faults":[{"type":"rect","origin":[1,1],"extents":[1,1]},'
     '{"type":"rect","origin":[7,7],"extents":[1,1]}]}'
 )
+# The det engine and the full cross-check each face 3.6e8 determinants here.
+CUBE_30 = '{"mesh":[30,30,30],"faults":[{"type":"rect","origin":[12,12,12],"extents":[3,3,3]}]}'
 SMALL = '{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2]}],"mc":{"samples":3000,"seed":4}}'
 README = '{"mesh":[5,5],"faults":[{"type":"rect","origin":[1,1],"extents":[1,2]}]}'
 # Every analysis and mc field set, each to a value other than its default.
@@ -152,6 +154,28 @@ def test_analyze_over_budget_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "predicted cost 450 exceeds budget 10" in err
+
+
+class _WorkStarted(Exception):
+    """Raised by a stubbed exact engine: the budget check let the run begin."""
+
+
+@pytest.mark.parametrize("option", [["--engine", "det"], ["--cross-check", "full"]])
+def test_analyze_prices_determinants_before_any_work(
+    tmp_path, capsys, monkeypatch, option
+):
+    def work(*args):
+        raise _WorkStarted
+
+    for name in ("avoiding_det", "avoiding_dp", "_pair_sum"):
+        monkeypatch.setattr(reliability, name, work)
+    path = _write(tmp_path, CUBE_30)
+    code = cli.main(["analyze", "-s", path, *option])
+    assert code == 2
+    assert "predicted cost 1.32e+11 exceeds budget 1e+08" in capsys.readouterr().err
+    # Under the high budget the price passes the check, and the first engine call is reached.
+    with pytest.raises(_WorkStarted):
+        cli.main(["analyze", "-s", path, *option, "--budget", "high"])
 
 
 def test_analyze_reports_validation_before_budget(tmp_path, capsys):

@@ -13,7 +13,9 @@ from faultring import reliability
 from faultring.faults import ArbitraryFault, FaultComplex, RectFault, build_complex
 from faultring.mesh import MeshShape
 from faultring.paths import avoiding_det, avoiding_dp, path_count
+from faultring.reference import reference_row
 from faultring.reliability import (
+    DEFAULT_BUDGET,
     check_budget,
     compute_reliability,
     format_probability,
@@ -326,6 +328,56 @@ def test_budget_below_predicted_cost_raises_before_work():
     assert compute_reliability(shape, complex_, budget=cost).p_hit > 0
     with pytest.raises(ValueError, match=r"predicted cost 450 exceeds budget 449"):
         compute_reliability(shape, complex_, budget=cost - 1)
+
+
+def test_predicted_cost_adds_one_term_per_determinant():
+    shape = MeshShape((30, 30, 30))
+    complex_ = build_complex(shape, RectFault((12, 12, 12), (3, 3, 3)))
+    cells = predicted_cost(shape)
+    det = select_engine(shape, complex_).predicted_det_cost
+    assert predicted_cost(shape, complex_) == cells == 2_187_000
+    assert predicted_cost(shape, complex_, "det") == det
+    assert predicted_cost(shape, complex_, "dp", "full") == cells + det
+    assert predicted_cost(shape, complex_, "det", "full") == det
+    # The 64 sampled pairs' determinants, summed exactly.
+    assert predicted_cost(shape, complex_, "dp", "sample") == 11_011_329
+    assert predicted_cost(shape, complex_, "det", "sample") == det + (11_011_329 - cells)
+
+
+def test_predicted_det_cost_keeps_its_values():
+    # Literals read before the det estimate moved into predicted_cost.
+    row3 = reference_row(3).build()
+    cube = MeshShape((30, 30, 30))
+    cube_complex = build_complex(cube, RectFault((12, 12, 12), (3, 3, 3)))
+    faults = frozenset({(0, 0), (0, 1), (5, 5)})
+    hand = FaultComplex(faults, frozenset(), faults, None)
+    assert select_engine(*row3).predicted_det_cost == 155111090.58659655
+    assert select_engine(cube, cube_complex).predicted_det_cost == 131632341720.56264
+    choice = select_engine(MeshShape((2, 2)), hand, policy="det", obstacle="faults")
+    assert choice.predicted_det_cost == 9.595703125
+
+
+def test_sampled_cross_check_over_budget_is_refused_before_any_work(monkeypatch):
+    # 64 determinants of up to 344 rows: this run took 51 s before the sample was priced.
+    def work(*args):
+        raise AssertionError("the budget check comes before any exact work")
+
+    for name in ("avoiding_det", "avoiding_dp", "_pair_sum"):
+        monkeypatch.setattr(reliability, name, work)
+    shape = MeshShape((100, 100, 100))
+    complex_ = build_complex(shape, RectFault((40, 40, 40), (5, 5, 5)))
+    assert predicted_cost(shape, complex_, "dp", "sample") == 242_103_202
+    with pytest.raises(ValueError, match=r"predicted cost 2\.42e\+08 exceeds budget 1e\+08"):
+        compute_reliability(shape, complex_, cross_check="sample")
+    check_budget(shape, float("inf"), complex_, "dp", "sample")
+
+
+def test_sampled_cross_check_within_budget_keeps_its_exact_answer():
+    shape = MeshShape((10, 10, 10))
+    complex_ = build_complex(shape, RectFault((4, 4, 4), (2, 2, 2)))
+    assert predicted_cost(shape) < predicted_cost(shape, complex_, "dp", "sample") < DEFAULT_BUDGET
+    result = compute_reliability(shape, complex_, cross_check="sample")
+    assert result.p_hit == Fraction(694564556987, 820227950628)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), 0, -1])
