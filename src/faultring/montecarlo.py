@@ -13,18 +13,19 @@ that axis's distance, in the axis's row at the length left, while axis 0
 takes the length and the rank left over. The tables start from the per-axis
 weights of paths._fold and build a row when a sample first reads it (_row),
 in a plain list slot per length; samples draw long paths, so few rows are
-ever built. What is left of the rank at each axis, modulo the ways to place
-that distance x, is the placement p: it indexes the first endpoint's offset
-in the axis's list for x (_placements), and its spot, p + x, indexes the
+ever built. What is left of the rank at each axis, modulo c(x), the ways to
+place that distance x, is the placement p, and its spot, p + x, indexes the
 axis's three lists of 2r entries, the last endpoint's offset, the signed
-step and the walk limit. One of the pair's paths is then walked uniformly,
-one move at a time, inline in the sample loop (_tally_range), which stops
-at the first node in the avoid set, or as a miss once the walk can no
-longer reach B, the avoid set's bounding box, by the limit read at the
-spot (_limits): a pair whose own box misses B takes no walk at all. A pair
-with a faulty endpoint is redrawn; a scenario where that would stall is
-refused up front. _walk is the same walk as a generator, for
-sample_minimal_path.
+step and the walk limit (_placements); the first endpoint's offset is the
+last's less x steps, last - x * step. Each axis thus holds O(r) entries:
+c(x) by distance, then last offsets, steps and limits by spot. One of the
+pair's paths is then walked uniformly, one move at a time, inline in the
+sample loop (_tally_range), which stops at the first node in the avoid set,
+or as a miss once the walk can no longer reach B, the avoid set's bounding
+box, by the limit read at the spot (_limits): a pair whose own box misses B
+takes no walk at all. A pair with a faulty endpoint is redrawn; a scenario
+where that would stall is refused up front. _walk is the same walk as a
+generator, for sample_minimal_path.
 
 Determinism: samples come in fixed blocks of _BLOCK consecutive indices, and
 block b draws all of its samples, in order, from one generator seeded from
@@ -45,12 +46,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from operator import getitem, lt
+from operator import getitem, lt, mul
 from typing import Iterator
 
 from faultring.faults import FaultComplex
 from faultring.mesh import Coord, MeshShape, delta, padded_indices
-from faultring.paths import _axis_counts, _fold
+from faultring.paths import _fold
 from faultring.reliability import Obstacle, _avoid_set, compute_reliability
 
 _SEED_SPAN = 2**64
@@ -144,41 +145,38 @@ def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
 
 
 def _placements(radix: int, stride: int, origin: int = 0):
-    """One axis's placement tables. Per distance x, c(x) and, by placement
-    p, the first endpoint's offset: coordinate p for x = 0; for x > 0 and
-    p < radix - x the low corner p, walked up, and from there on the high
-    corner p + 2x - radix, walked down. Either way the last endpoint's
-    coordinate is p + x, less radix walked down, so its offset and the
-    signed step are read at the spot p + x from two lists of 2 * radix
-    entries, the offsets twice and radix steps up then radix down, as
-    _limits is. An offset is origin + coordinate * stride, and every entry
-    refers to one of the axis's radix offsets or two steps rather than
-    holding a new int: the first offsets of an axis of radix 1000 take
-    7.8 MiB (tracemalloc), and the spot lists next to nothing.
+    """One axis's placement tables: c(x) by distance x, r for x = 0 and
+    2 (r - x) for x > 0, a low corner and a flip; and two lists of 2r
+    entries read at the spot p + x of a placement p at distance x, the last
+    endpoint's offset (the axis's r offsets twice) and the signed step (r
+    steps up, then r down), as _limits is read. For x = 0, and for x > 0
+    and p < r - x, the path walks up and ends at coordinate p + x; the rest
+    walk down and end at p + x - r. Either way the first endpoint's offset is
+    the last's less x steps, last - x * step, so no per-distance list is
+    kept. An offset is origin + coordinate * stride: an axis of radix 1000
+    holds about 0.1 MiB (tracemalloc).
 
-    Returns the per-distance (c(x), first offsets), the last offsets and
-    the steps."""
+    Returns c(x) by distance, the last offsets and the steps."""
     offsets = [origin + i * stride for i in range(radix)]
-    places = [(radix, offsets)]
-    places += [(2 * (radix - x), offsets[: radix - x] + offsets[x:]) for x in range(1, radix)]
-    return places, offsets * 2, [stride] * radix + [-stride] * radix
+    ways = [radix] + [2 * (radix - x) for x in range(1, radix)]
+    return ways, offsets * 2, [stride] * radix + [-stride] * radix
 
 
 def _row(axis: tuple, length: int):
     """Row L of one bisected axis of the pair table (_pair_table), built
-    from the fold's weights before the axis and the axis's placement tables,
-    whose entry at distance x starts with c(x), and kept in the axis's slot
-    for L: the least distance, max(0, L + 1 - len(before)); the divisors
-    c(x) * comb(L, x) for the distances from it up, each binomial the last
-    times (L - x) / (x + 1); and the weight below each distance and of all,
-    the running sums of before[L - x] * divisor. Callers read a slot and
-    call this when it is still None; the row layout lives here alone."""
-    rows, places, before, *_ = axis
+    from the fold's weights before the axis and the axis's c(x) by distance
+    (_placements), and kept in the axis's slot for L: the least distance,
+    max(0, L + 1 - len(before)); the divisors c(x) * comb(L, x) for the
+    distances from it up, each binomial the last times (L - x) / (x + 1);
+    and the weight below each distance and of all, the running sums of
+    before[L - x] * divisor. Callers read a slot and call this when it is
+    still None; the row layout lives here alone."""
+    rows, ways, before, *_ = axis
     least = max(0, length + 1 - len(before))
-    divisors, ways = [], math.comb(length, least)
-    for x, (c, _) in enumerate(places[least : length + 1], least):
-        divisors.append(ways * c)
-        ways = ways * (length - x) // (x + 1)
+    divisors, binomial = [], math.comb(length, least)
+    for x, c in enumerate(ways[least : length + 1], least):
+        divisors.append(binomial * c)
+        binomial = binomial * (length - x) // (x + 1)
     parts = (before[length - x] * d for x, d in enumerate(divisors, least))
     rows[length] = row = (list(accumulate(parts, initial=0)), least, divisors)
     return row
@@ -198,30 +196,28 @@ def _pair_table(shape: MeshShape, folds: list[list[int]] | None = None):
     row and walk slots on first read (_row, _walk_steps) and change nothing
     else.
 
-    Axis j places a distance 0 in c_j(0) = r_j ways and a distance x > 0 in
-    c_j(x) = 2 (r_j - x), a low corner and a flip. The weight is folded one
-    axis at a time by paths._fold, the fold behind reliability._box_weight,
-    with the mesh against itself; `folds` is that fold, folded here unless
+    Axis j places a distance x in c_j(x) ways (_placements). The weight is
+    folded from those counts one axis at a time by paths._fold, the fold
+    behind reliability._box_weight; `folds` is that fold, folded here unless
     given, as a pool job gives it (_tally_fold). The fold holds one weight
     per axis and path length, and no row.
 
     Returns the weight below each length from 1 on, and of all pairs; the
     axes from the last to the second, each as (a slot per length, None until
-    _row builds the row; its placement tables by distance; the fold's
-    weights before it; its last offsets and its steps by spot), the tables
-    from _placements on its padded stride; axis 0's tables from _placements
-    alone, their offsets counted from the padded index of node 0, since
-    axis 0 takes the length and the rank left over (see _pair_at); a walk
-    slot per length, None until _walk_steps fills it, but for the longest
-    length's (left, bit length) pairs from the longest length down to 1;
-    and the fold.
+    _row builds the row; its c(x) by distance; the fold's weights before it;
+    its last offsets and its steps by spot), the tables from _placements on
+    its padded stride; axis 0's tables from _placements alone, their offsets
+    counted from the padded index of node 0, since axis 0 takes the length
+    and the rank left over (see _pair_at); a walk slot per length, None
+    until _walk_steps fills it, but for the longest length's (left, bit
+    length) pairs from the longest length down to 1; and the fold.
     """
-    folds = folds or _fold(_axis_counts(0, r - 1, 0, r - 1) for r in shape.radices)
     strides = shape.padded_strides()
     origins = [sum(strides)] + [0] * (shape.n - 1)
     places = [_placements(*axis) for axis in zip(shape.radices, strides, origins)]
+    folds = folds or _fold(ways for ways, *_ in places)
     tables = zip(folds[1:], folds[2:], places[1:])
-    axes = [([None] * len(w), p, b, lasts, steps) for b, w, (p, lasts, steps) in tables]
+    axes = [([None] * len(w), ways, b, lasts, steps) for b, w, (ways, lasts, steps) in tables]
     lengths = list(accumulate(folds[-1][1:], initial=0))
     steps = tuple((left, left.bit_length()) for left in range(len(lengths) - 1, 0, -1))
     return lengths, axes[::-1], places[0], [None] * len(steps) + [steps], folds
@@ -237,40 +233,38 @@ def _pair_at(table, rank: int):
     length. Bisection maps the rank to a length, then, from the last axis
     to the second, to a distance x. Less the weight below x, the rank's
     quotient by x's divisor is the rank among the axes before, and its
-    remainder modulo c_j(x), which divides the divisor, is the placement p,
-    which indexes the first offsets at x; the spot p + x indexes the last
-    offsets and the steps. Axis 0's row at the length left holds that one
-    distance, and the rank left lies below its divisor, c_0(x): it is axis
-    0's placement, found without a search. The path itself is a further
-    draw: _walk, or its inline copy in _tally_range."""
+    remainder modulo c_j(x), which divides the divisor, is the placement p;
+    the spot p + x indexes the last offsets and the steps. Axis 0's row at
+    the length left holds that one distance, and the rank left lies below
+    its divisor, c_0(x): it is axis 0's placement, found without a search.
+    The first endpoint is the last less x steps on every axis. The path
+    itself is a further draw: _walk, or its inline copy in _tally_range."""
     lengths, axes, first_axis, *_ = table
     length = bisect_right(lengths, rank)
     rank -= lengths[length - 1]
-    first = last = 0
+    last = 0
     moves, remaining, at = [], [], []
     left = length
     for axis in axes:
-        rows, places, _, lasts, steps = axis
+        rows, ways, _, lasts, steps = axis
         starts, least, divisors = rows[left] or _row(axis, left)
         k = bisect_right(starts, rank) - 1
         x = least + k
         rank -= starts[k]
-        ways, firsts = places[x]
-        spot = rank % ways
+        spot = rank % ways[x] + x
         rank //= divisors[k]
-        first += firsts[spot]
-        spot += x
         last += lasts[spot]
         moves.append(steps[spot])
         remaining.append(x)
         at.append(spot)
         left -= x
-    places, lasts, steps = first_axis
+    _, lasts, steps = first_axis
     spot = rank + left
+    last += lasts[spot]
     moves.append(steps[spot])
     remaining.append(left)
     at.append(spot)
-    return first + places[left][1][rank], last + lasts[spot], moves, remaining, at, length
+    return last - sum(map(mul, remaining, moves)), last, moves, remaining, at, length
 
 
 def _avoid_box(shape: MeshShape, nodes) -> tuple[Coord, Coord]:
@@ -348,12 +342,14 @@ def _tally_range(
     can start to miss, and it is tested before the avoid lookup.
 
     Both loops read each axis's last offset, step and limit at one index,
-    its spot, the placement plus the distance. On 3 and 4 axes one unrolled
-    loop decodes the pair inline, as _pair_at does (the third decoded axis
-    only on 4 axes), and walks it with each axis's moves left, limit and
-    flat step in local variables, picking the axis by comparing x with the
-    moves left: x < a, then x - a < b, then x - a - b < c, which never
-    holds on 3 axes, where c and its limit stay 0; axis 0 takes the rest.
+    its spot, the placement plus the distance, and take the first endpoint
+    as the last less each axis's distance times its step. On 3 and 4 axes
+    one unrolled loop decodes the pair inline, as _pair_at does (the third
+    decoded axis only on 4 axes), and walks it with each axis's moves left,
+    limit and flat step in local variables, picking the axis by comparing x
+    with the moves left: x < a, then x - a < b, then x - a - b < c, which
+    never holds on 3 axes, where c, its step and its limit stay 0; axis 0
+    takes the rest.
     Every other axis count calls _pair_at and scans the lists it returns,
     reading the limits at the spots it returns. Both loops pick the pair
     and the axis _pair_at and the scan would, and stop where the other
@@ -371,10 +367,10 @@ def _tally_range(
     unrolled = n == 3 or n == 4
     if unrolled:
         ends_a, ends_b, ends_c, ends_0 = limits[0], limits[1], limits[-2], limits[-1]
-        (rows_a, places_a, _, la, sa), (rows_b, places_b, _, lb, sb) = axis_a, axis_b = axes[:2]
-        places_0, l0, s0 = first_axis
+        (rows_a, ways_a, _, la, sa), (rows_b, ways_b, _, lb, sb) = axis_a, axis_b = axes[:2]
+        _, l0, s0 = first_axis
         if n == 4:
-            (rows_c, places_c, _, lc, sc) = axis_c = axes[2]
+            (rows_c, ways_c, _, lc, sc) = axis_c = axes[2]
         # On 3 axes these stay 0: the walk's third test never fires.
         c = mc = tc = 0
     check_ends = not avoid <= faulty
@@ -393,20 +389,17 @@ def _tally_range(
                     k = bisect_right(starts, rank) - 1
                     rank -= starts[k]
                     a = least + k
-                    ways, fa = places_a[a]
-                    p = rank % ways
+                    p = rank % ways_a[a] + a
                     rank //= divisors[k]
                     left = length - a
                     starts, least, divisors = rows_b[left] or _row(axis_b, left)
                     k = bisect_right(starts, rank) - 1
                     rank -= starts[k]
                     b = least + k
-                    ways, fb = places_b[b]
-                    q = rank % ways
+                    q = rank % ways_b[b] + b
                     rank //= divisors[k]
                     left -= b
-                    cur = fa[p] + fb[q]
-                    p, q = p + a, q + b
+                    ma, mb = sa[p], sb[q]
                     last = la[p] + lb[q]
                     ta, tb = ends_a[p], ends_b[q]
                     if n == 4:
@@ -414,18 +407,15 @@ def _tally_range(
                         k = bisect_right(starts, rank) - 1
                         rank -= starts[k]
                         c = least + k
-                        ways, fc = places_c[c]
-                        u = rank % ways
+                        u = rank % ways_c[c] + c
                         rank //= divisors[k]
                         left -= c
-                        cur += fc[u]
-                        u += c
                         last += lc[u]
                         mc, tc = sc[u], ends_c[u]
-                    cur += places_0[left][1][rank]
                     rank += left
                     last += l0[rank]
-                    d, td = left, ends_0[rank]
+                    d, md, td = left, s0[rank], ends_0[rank]
+                    cur = last - a * ma - b * mb - c * mc - d * md
                 else:
                     cur, last, moves, remaining, at, length = _pair_at(table, rank)
                 if cur not in faulty and last not in faulty:
@@ -436,7 +426,6 @@ def _tally_range(
             if unrolled:
                 if a < ta or b < tb or c < tc or d < td:
                     continue
-                ma, mb, md = sa[p], sb[q], s0[rank]
                 for left, k in walks[length] or _walk_steps(walks, length):
                     x = getrandbits(k)
                     while x >= left:

@@ -645,11 +645,11 @@ print(denominator, peak() - base)
 def test_pair_table_and_denominator_keep_no_rows_on_300_cubed():
     # The fold keeps weights only and the pair table builds a row when a
     # sample first reads it, so on 300x300x300 the denominator's peak grows
-    # by well under a MiB and the table's by its 2.2 MiB of placement
-    # tables; when the fold kept every row and the table turned each into
-    # its own copy, the two grew by 11-30 and 71-89 MiB. tracemalloc would trace
-    # every integer of the fold and take seconds, so the peak resident size
-    # of a fresh process is read instead.
+    # by well under a MiB and the table's by its fold and its 0.07 MiB of
+    # placement tables; when the fold kept every row and the table turned
+    # each into its own copy, the two grew by 11-30 and 71-89 MiB.
+    # tracemalloc would trace every integer of the fold and take seconds, so
+    # the peak resident size of a fresh process is read instead.
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(faultring.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -660,20 +660,21 @@ def test_pair_table_and_denominator_keep_no_rows_on_300_cubed():
     assert denominator < 4 and table < 16, (denominator, table)
 
 
-def test_placement_tables_of_a_radix_1000_axis_hold_under_12_mib():
-    # Axis 0 of a 1000^3 mesh, on its padded stride and origin, as
-    # _pair_table builds it: one list of first offsets per distance, about
-    # r^2 references, and two spot lists of 2r entries, 7.8 MiB. With the
-    # last offsets and the steps kept per distance as well, three r^2 lists
-    # took 23.2 MiB.
-    tracemalloc.start()
-    try:
-        tables = montecarlo._placements(1000, 1002**2, 1002**2 + 1003)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    del tables
-    assert held < 12 * 2**20, held / 2**20
+def test_placement_tables_of_radix_1000_and_2000_axes_hold_under_half_a_mib():
+    # Axis 0 of a 1000^3 and of a 2000^2 mesh, on its padded stride and
+    # origin, as _pair_table builds it: c(x) by distance and two spot lists
+    # of 2r entries, 0.10 and 0.20 MiB. The first endpoint is read as the
+    # last less x steps; one list of first offsets per distance, about r^2
+    # references, took 7.8 and 30.9 MiB.
+    for radix, stride, origin in ((1000, 1002**2, 1002**2 + 1003), (2000, 2002, 2003)):
+        tracemalloc.start()
+        try:
+            tables = montecarlo._placements(radix, stride, origin)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del tables
+        assert held < 2**20 / 2, (radix, held / 2**20)
 
 
 def test_importing_the_package_leaves_multiprocessing_out():

@@ -375,17 +375,19 @@ def test_walk_limits_stop_exactly_when_the_box_is_out_of_reach(case):
     # last endpoint and the step at the spot (placement plus distance), as
     # the sample loops read them, exactly when no coordinate it has still to
     # visit along the axis, the current one included, lies in [lo, hi]. The
-    # first endpoint lies the distance back from the last, against the step.
+    # first endpoint, the distance back from the last against the step, lies
+    # on the axis.
     radix, lo, hi = case
     if lo > hi:
         assert _avoid_box(MeshShape((radix,)), ()) == ((radix,), (hi,))
     limits = _limits(radix, lo, hi)
-    places, lasts, steps = _placements(radix, 1)
-    assert len(limits) == len(lasts) == len(steps) == 2 * radix
-    for x, (ways, firsts) in enumerate(places):
-        for p in range(ways):
+    ways, lasts, steps = _placements(radix, 1)
+    assert len(ways) == radix and len(limits) == len(lasts) == len(steps) == 2 * radix
+    for x, count in enumerate(ways):
+        assert count == (2 * (radix - x) if x else radix)
+        for p in range(count):
             last, step, limit = lasts[p + x], steps[p + x], limits[p + x]
-            assert firsts[p] == last - x * step and 0 <= firsts[p] < radix
+            assert 0 <= last - x * step < radix
             for left in range(x + 1):
                 ahead = range(last - left * step, last + step, step)
                 stop = not any(lo <= y <= hi for y in ahead)
