@@ -5,10 +5,11 @@ All behavior is flag-driven; no environment variables are consulted. A
 reliability.predicted_cost): cells for the dp passes, plus (m + 1)^3 for
 each determinant the run evaluates. analyze refuses a valid scenario above
 it before any exact work, and table2 skips the rows above it. Exit codes: 0
-success, 2 scenario or usage error (analyze over budget, or simulate on a
-scenario whose faults hold nearly all path weight), 3 validation failure,
-checked first, 4 engine cross-check failure, 5 rows skipped under the table2
-budget when --skips-as-error is set.
+success, 2 scenario or usage error (analyze over budget, or simulate or
+analyze --cross-check sample on a scenario whose faults hold nearly all path
+weight), 3 validation failure, checked first, 4 engine cross-check failure
+(a reported p_miss that fails the sampled check included), 5 rows skipped
+under the table2 budget when --skips-as-error is set.
 """
 
 from __future__ import annotations

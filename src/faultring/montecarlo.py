@@ -6,26 +6,31 @@ included), so the hit fraction estimates the path-weighted probability the
 exact engine computes, under either avoid-set choice (the ring-augmented
 region by default, the bare fault region with obstacle="faults"), with the
 binomial standard error. One uniform integer below the path weight of all
-ordered pairs, a rank, names a pair through small per-axis tables
-(_pair_at), each pair by as many ranks as it has minimal paths: one bisection
-picks the path length, and one per axis from the last to the second picks
-that axis's distance, in the axis's row at the length left, while axis 0
-takes the length and the rank left over. The tables start from the per-axis
-weights of paths._fold and build a row when a sample first reads it (_row),
-in a plain list slot per length; samples draw long paths, so few rows are
-ever built. What is left of the rank at each axis, modulo c(x), the ways to
-place that distance x, is the placement p, and its spot, p + x, indexes the
-axis's three lists of 2r entries, the last endpoint's offset, the signed
-step and the walk limit (_placements); the first endpoint's offset is the
-last's less x steps, last - x * step. Each axis thus holds O(r) entries:
-c(x) by distance, then last offsets, steps and limits by spot. One of the
-pair's paths is then walked uniformly, one move at a time, inline in the
-sample loop (_tally_range), which stops at the first node in the avoid set,
-or as a miss once the walk can no longer reach B, the avoid set's bounding
-box, by the limit read at the spot (_limits): a pair whose own box misses B
-takes no walk at all. A pair with a faulty endpoint is redrawn; a scenario
-where that would stall is refused up front. _walk is the same walk as a
-generator, for sample_minimal_path.
+ordered pairs, a rank, names a pair through small per-axis tables, each
+pair by as many ranks as it has minimal paths. The tables and the map live
+in paths.py (paths._pair_table, paths._pair_at), the package's one way to
+draw pairs by path weight, which the exact engine's sampled cross-check
+reads too: one bisection picks the path length, and one per axis from the
+last to the second picks that axis's distance, in the axis's row at the
+length left, while axis 0 takes the length and the rank left over. The
+tables start from the per-axis weights of paths._fold and build a row when
+a sample first reads it (paths._row), in a plain list slot per length;
+samples draw long paths, so few rows are ever built. What is left of the
+rank at each axis, modulo c(x), the ways to place that distance x, is the
+placement p, and its spot, p + x, indexes the axis's three lists of 2r
+entries, the last endpoint's offset and the signed step
+(paths._placements), and the walk limit (_limits); the first endpoint's
+offset is the last's less x steps, last - x * step. Each axis thus holds
+O(r) entries: c(x) by distance, then last offsets, steps and limits by
+spot. This module keeps the walk, the tally, the pool and the estimate.
+One of the pair's paths is then walked uniformly, one move at a time,
+inline in the sample loop (_tally_range), which stops at the first node in
+the avoid set, or as a miss once the walk can no longer reach B, the avoid
+set's bounding box, by the limit read at the spot (_limits): a pair whose
+own box misses B takes no walk at all. A pair with a faulty endpoint is redrawn; a scenario
+where that would stall is refused up front, by a pilot draw of healthy pairs
+(paths._healthy_pairs). _walk is the same walk as a generator, for
+sample_minimal_path.
 
 Determinism: samples come in fixed blocks of _BLOCK consecutive indices, and
 block b draws all of its samples, in order, from one generator seeded from
@@ -45,19 +50,19 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, pairwise
-from operator import getitem, lt, mul
+from itertools import pairwise
+from operator import getitem, lt
 from typing import Iterator
 
 from faultring.faults import FaultComplex
 from faultring.mesh import Coord, MeshShape, delta, padded_indices
-from faultring.paths import _fold
+from faultring.paths import _healthy_pairs, _pair_at, _pair_table, _row, _walk_steps
 from faultring.reliability import Obstacle, _avoid_set, compute_reliability
 
 _SEED_SPAN = 2**64
 # One seeding costs about as much as one sample; a block makes it negligible.
 _BLOCK = 1024
-_PILOT_DRAWS = 100_000
+# Healthy pairs the pilot (paths._healthy_pairs) must draw before any sample.
 _PILOT_ACCEPTS = 20
 
 
@@ -144,129 +149,6 @@ def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
     return path
 
 
-def _placements(radix: int, stride: int, origin: int = 0):
-    """One axis's placement tables: c(x) by distance x, r for x = 0 and
-    2 (r - x) for x > 0, a low corner and a flip; and two lists of 2r
-    entries read at the spot p + x of a placement p at distance x, the last
-    endpoint's offset (the axis's r offsets twice) and the signed step (r
-    steps up, then r down), as _limits is read. For x = 0, and for x > 0
-    and p < r - x, the path walks up and ends at coordinate p + x; the rest
-    walk down and end at p + x - r. Either way the first endpoint's offset is
-    the last's less x steps, last - x * step, so no per-distance list is
-    kept. An offset is origin + coordinate * stride: an axis of radix 1000
-    holds about 0.1 MiB (tracemalloc).
-
-    Returns c(x) by distance, the last offsets and the steps."""
-    offsets = [origin + i * stride for i in range(radix)]
-    ways = [radix] + [2 * (radix - x) for x in range(1, radix)]
-    return ways, offsets * 2, [stride] * radix + [-stride] * radix
-
-
-def _row(axis: tuple, length: int):
-    """Row L of one bisected axis of the pair table (_pair_table), built
-    from the fold's weights before the axis and the axis's c(x) by distance
-    (_placements), and kept in the axis's slot for L: the least distance,
-    max(0, L + 1 - len(before)); the divisors c(x) * comb(L, x) for the
-    distances from it up, each binomial the last times (L - x) / (x + 1);
-    and the weight below each distance and of all, the running sums of
-    before[L - x] * divisor. Callers read a slot and call this when it is
-    still None; the row layout lives here alone."""
-    rows, ways, before, *_ = axis
-    least = max(0, length + 1 - len(before))
-    divisors, binomial = [], math.comb(length, least)
-    for x, c in enumerate(ways[least : length + 1], least):
-        divisors.append(binomial * c)
-        binomial = binomial * (length - x) // (x + 1)
-    parts = (before[length - x] * d for x, d in enumerate(divisors, least))
-    rows[length] = row = (list(accumulate(parts, initial=0)), least, divisors)
-    return row
-
-
-def _walk_steps(walks: list, length: int):
-    """(left, bit length) for left from `length` down to 1, the draws of a
-    walk of that length: the tail of the longest walk's, kept in the
-    length's slot of `walks` the first time a sample walks that far."""
-    walks[length] = steps = walks[-1][-length:]
-    return steps
-
-
-def _pair_table(shape: MeshShape, folds: list[list[int]] | None = None):
-    """Per-axis tables of the path weight of the ordered pairs of distinct
-    nodes. An estimate's pilot and sample loop read one table; they fill its
-    row and walk slots on first read (_row, _walk_steps) and change nothing
-    else.
-
-    Axis j places a distance x in c_j(x) ways (_placements). The weight is
-    folded from those counts one axis at a time by paths._fold, the fold
-    behind reliability._box_weight; `folds` is that fold, folded here unless
-    given, as a pool job gives it (_tally_fold). The fold holds one weight
-    per axis and path length, and no row.
-
-    Returns the weight below each length from 1 on, and of all pairs; the
-    axes from the last to the second, each as (a slot per length, None until
-    _row builds the row; its c(x) by distance; the fold's weights before it;
-    its last offsets and its steps by spot), the tables from _placements on
-    its padded stride; axis 0's tables from _placements alone, their offsets
-    counted from the padded index of node 0, since axis 0 takes the length
-    and the rank left over (see _pair_at); a walk slot per length, None
-    until _walk_steps fills it, but for the longest length's (left, bit
-    length) pairs from the longest length down to 1; and the fold.
-    """
-    strides = shape.padded_strides()
-    origins = [sum(strides)] + [0] * (shape.n - 1)
-    places = [_placements(*axis) for axis in zip(shape.radices, strides, origins)]
-    folds = folds or _fold(ways for ways, *_ in places)
-    tables = zip(folds[1:], folds[2:], places[1:])
-    axes = [([None] * len(w), ways, b, lasts, steps) for b, w, (ways, lasts, steps) in tables]
-    lengths = list(accumulate(folds[-1][1:], initial=0))
-    steps = tuple((left, left.bit_length()) for left in range(len(lengths) - 1, 0, -1))
-    return lengths, axes[::-1], places[0], [None] * len(steps) + [steps], folds
-
-
-def _pair_at(table, rank: int):
-    """The ordered pair of distinct nodes that a rank below the weight of all
-    pairs names; every pair is named by as many ranks as it has minimal paths.
-
-    Returns the endpoints' padded flat indices, then, from the last axis to
-    the first, the signed flat step of each axis, the number of moves left
-    along it (a new list the walk may consume) and its spot, and the path
-    length. Bisection maps the rank to a length, then, from the last axis
-    to the second, to a distance x. Less the weight below x, the rank's
-    quotient by x's divisor is the rank among the axes before, and its
-    remainder modulo c_j(x), which divides the divisor, is the placement p;
-    the spot p + x indexes the last offsets and the steps. Axis 0's row at
-    the length left holds that one distance, and the rank left lies below
-    its divisor, c_0(x): it is axis 0's placement, found without a search.
-    The first endpoint is the last less x steps on every axis. The path
-    itself is a further draw: _walk, or its inline copy in _tally_range."""
-    lengths, axes, first_axis, *_ = table
-    length = bisect_right(lengths, rank)
-    rank -= lengths[length - 1]
-    last = 0
-    moves, remaining, at = [], [], []
-    left = length
-    for axis in axes:
-        rows, ways, _, lasts, steps = axis
-        starts, least, divisors = rows[left] or _row(axis, left)
-        k = bisect_right(starts, rank) - 1
-        x = least + k
-        rank -= starts[k]
-        spot = rank % ways[x] + x
-        rank //= divisors[k]
-        last += lasts[spot]
-        moves.append(steps[spot])
-        remaining.append(x)
-        at.append(spot)
-        left -= x
-    _, lasts, steps = first_axis
-    spot = rank + left
-    last += lasts[spot]
-    moves.append(steps[spot])
-    remaining.append(left)
-    at.append(spot)
-    return last - sum(map(mul, remaining, moves)), last, moves, remaining, at, length
-
-
 def _avoid_box(shape: MeshShape, nodes) -> tuple[Coord, Coord]:
     """B, the bounding box of the avoid nodes inside the mesh, as its low and
     high corner; an empty one, low above high on every axis, when none is."""
@@ -279,7 +161,7 @@ def _limits(radix: int, lo: int, hi: int) -> list[int]:
     [lo, hi], B's side on the axis, by the last endpoint's coordinate e
     walked up, then by e walked down, so that a placement p at distance x
     reads it at its spot p + x, as it reads its last offset and step
-    (_placements): e - hi up and lo - e down, or radix, above any count,
+    (paths._placements): e - hi up and lo - e down, or radix, above any count,
     when the walk never meets it (e < lo up, e > hi down).
     Along the axis, a walk with m moves left covers the coordinates from its
     current one, e - m up or e + m down, to e; with fewer moves left than
@@ -288,29 +170,6 @@ def _limits(radix: int, lo: int, hi: int) -> list[int]:
     exactly when e lies outside [lo, hi]."""
     up = [e - hi if e >= lo else radix for e in range(radix)]
     return up + [lo - e if e <= hi else radix for e in range(radix)]
-
-
-def _check_sampleable(table, faulty: frozenset[int]) -> None:
-    """Refuse a scenario whose healthy pairs hold too little of the path weight.
-
-    A fixed-seed pilot of rng.randrange ranks, each mapped by _pair_at, must
-    find _PILOT_ACCEPTS pairs with two non-faulty endpoints in _PILOT_DRAWS
-    draws, so the refusal depends on the scenario alone. It is certain below
-    a share of 5e-5, where a sample would need 20 000 draws, and never
-    happens above 1e-3.
-    """
-    rng = random.Random(0)
-    accepted = 0
-    for _ in range(_PILOT_DRAWS):
-        first, last, *_ = _pair_at(table, rng.randrange(table[0][-1]))
-        accepted += first not in faulty and last not in faulty
-        if accepted == _PILOT_ACCEPTS:
-            return
-    raise ValueError(
-        f"only {accepted} of {_PILOT_DRAWS} path-weighted pair draws have two non-faulty "
-        "endpoints: the faults hold nearly all of the path weight; run `analyze` for the "
-        "exact value"
-    )
 
 
 def _tally_range(
@@ -492,7 +351,7 @@ def estimate_p_hit(
 
     Raises ValueError when fewer than two non-faulty nodes exist, or when the
     faults hold so much of the path weight that redrawing pairs with a faulty
-    endpoint would stall (see _check_sampleable); the exact engine then is
+    endpoint would stall (see paths._healthy_pairs); the exact engine then is
     the tool. With no faults at all the estimate is exactly 0.0.
 
     Nodes are numbered by mesh.padded_indices, as in the exact engine.
@@ -505,7 +364,7 @@ def estimate_p_hit(
     avoid = faulty if obstacle == "faults" else padded_indices(shape, avoid_nodes)
     box = _avoid_box(shape, avoid_nodes)
     table = _pair_table(shape)
-    _check_sampleable(table, faulty)
+    _healthy_pairs(table, faulty, _PILOT_ACCEPTS)  # the pilot
     blocks = -(-config.samples // _BLOCK)
     # More processes than CPUs only add pair-table builds; the stream is the same.
     workers = min(config.workers, blocks, os.cpu_count() or 1)

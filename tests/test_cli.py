@@ -213,6 +213,25 @@ def test_analyze_aggregate_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     assert "cross-check failure: aggregate disagrees with per-pair recount: 149 vs 148" in err
 
 
+@pytest.mark.parametrize("obstacle, wrong", [("blocked", "10/487"), ("faults", "102/487")])
+def test_analyze_sampled_cross_check_catches_a_skipped_orientation(
+    tmp_path, capsys, monkeypatch, obstacle, wrong
+):
+    # _pair_sum without the pass of orientation (1, -1) reports a wrong exact
+    # p_miss on the README scenario; the sampled cross-check fails it, though
+    # the per-pair engines agree on every pair it recounts.
+    product = reliability.product
+    monkeypatch.setattr(
+        reliability, "product", lambda *args, **kw: (d for d in product(*args, **kw) if d != (1, -1))
+    )
+    path = _write(tmp_path, README)
+    assert cli.main(["analyze", "-s", path, "--obstacle", obstacle]) == 0
+    assert wrong in capsys.readouterr().out
+    code = cli.main(["analyze", "-s", path, "--obstacle", obstacle, "--cross-check", "sample"])
+    assert code == 4
+    assert "standard errors from the sampled pairs' mean miss ratio" in capsys.readouterr().err
+
+
 def test_simulate_output_is_reproducible(tmp_path, capsys):
     path = _write(tmp_path, SMALL)
     assert cli.main(["simulate", "-s", path]) == 0

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import os
 import pickle
@@ -15,24 +16,21 @@ from itertools import product
 import pytest
 
 import faultring
-from faultring import montecarlo
+from faultring import montecarlo, paths
 from faultring.faults import ArbitraryFault, FaultComplex, RectFault, build_complex, ring_of
 from faultring.mesh import MeshShape, padded_index
 from faultring.montecarlo import (
     _BLOCK,
     McConfig,
-    _pair_at,
-    _pair_table,
-    _row,
     _tally_range,
     _walk,
     compare_with_exact,
     estimate_p_hit,
     sample_minimal_path,
 )
-from faultring.paths import _axis_counts, _fold, path_count
+from faultring.paths import _axis_counts, _fold, _pair_at, _pair_table, _row, path_count
 from faultring.reference import reference_row
-from faultring.reliability import compute_reliability, total_paths
+from faultring.reliability import OBSTACLES, compute_reliability, total_paths
 
 
 @pytest.fixture(autouse=True)
@@ -352,7 +350,7 @@ def test_an_estimate_folds_its_mesh_once_at_any_worker_count(monkeypatch, worker
         calls.append(1)
         return _fold(axes)
 
-    monkeypatch.setattr(montecarlo, "_fold", counting_fold)
+    monkeypatch.setattr(paths, "_fold", counting_fold)
     monkeypatch.setattr("multiprocessing.Pool", PicklingPool)
     monkeypatch.setattr(PicklingPool, "sent", [])
     config = McConfig(samples=3 * _BLOCK, seed=1, workers=workers)
@@ -589,6 +587,40 @@ def test_benchmark_estimates_keep_their_sample_streams(row, obstacle, seed, samp
         assert estimate_p_hit(shape, complex_, config, obstacle).hit_weight == hits
 
 
+def _stream_estimates():
+    """120 seeded estimates: n 1-5, radices 2-6, a rect fault or scattered
+    faults, both obstacles, and one estimate in ten on two workers over two
+    blocks; a refused scenario records its message."""
+    rng = random.Random(26)
+    for i in range(120):
+        radices = tuple(rng.randint(2, 6) for _ in range(1 + i % 5))
+        shape = MeshShape(radices)
+        if i % 2:
+            origin = tuple(rng.randrange(r) for r in radices)
+            spec = RectFault(origin, tuple(rng.randint(1, r - o) for r, o in zip(radices, origin)))
+        else:
+            spec = ArbitraryFault(frozenset(v for v in shape.nodes() if rng.random() < 0.2))
+        workers = 2 if i % 10 == 9 else 1
+        config = McConfig(samples=2 * _BLOCK + 1 if workers == 2 else 300,
+                          seed=rng.randrange(2**32), workers=workers)
+        try:
+            estimate = estimate_p_hit(shape, build_complex(shape, spec), config, OBSTACLES[i // 2 % 2])
+        except ValueError as exc:
+            yield str(exc)
+        else:
+            yield estimate.hit_weight, estimate.p_hat, estimate.std_error
+
+
+def test_seeded_estimates_keep_their_sample_streams():
+    # One digest of 120 estimates, made before the pair map moved from
+    # montecarlo.py to paths.py: any change to a draw, a redraw, a walk or the
+    # pilot's refusal changes it.
+    results = list(_stream_estimates())
+    assert sum(isinstance(r, str) for r in results) < 10
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "93d77f7c944c011e67e0d6ede55986d19e34c6115b7cc983b7030f18cc72b46f"
+
+
 @pytest.mark.parametrize("radices", [(9,), (5, 4), (4, 3, 5), (3, 4, 2, 3), (2, 3, 2, 2, 3)])
 def test_sample_loop_leaves_the_pair_table_unchanged(radices):
     # An estimate's pilot and sample loop read one table, so the sample loop
@@ -629,7 +661,7 @@ def test_pair_table_weight_is_twice_the_fault_free_denominator(radices):
 PEAK_GROWTH = """
 import resource, sys
 from faultring.mesh import MeshShape
-from faultring.montecarlo import _pair_table
+from faultring.paths import _pair_table
 from faultring.reliability import total_paths
 unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, else KiB
 peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 2**20
@@ -669,7 +701,7 @@ def test_placement_tables_of_radix_1000_and_2000_axes_hold_under_half_a_mib():
     for radix, stride, origin in ((1000, 1002**2, 1002**2 + 1003), (2000, 2002, 2003)):
         tracemalloc.start()
         try:
-            tables = montecarlo._placements(radix, stride, origin)
+            tables = paths._placements(radix, stride, origin)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

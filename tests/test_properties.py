@@ -3,15 +3,15 @@ invariance under the symmetries of the mesh, the closed-form denominator of
 box faults against the engine, the entry-edge form of the paths that miss a
 box against the per-pair engines, the per-axis fold of box-to-box path weights
 against per-pair counts, the Monte-Carlo pair table's rows against their
-definition, the sampled cross-check's unranked pairs against the walked
-ones, the Monte-Carlo sample loop against a reference loop,
-connectivity and rings against their definitions, and the scenario round
-trip."""
+definition, the sampled cross-check's pairs against the healthy pairs the
+pair map draws, and the check itself on correct engines, the Monte-Carlo
+sample loop against a reference loop, connectivity and rings against their
+definitions, and the scenario round trip."""
 
 import math
 import random
 from collections import Counter
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,19 +29,20 @@ from faultring.mesh import (
 )
 from faultring.montecarlo import (
     _BLOCK,
+    _PILOT_ACCEPTS,
     _SEED_SPAN,
     McConfig,
     _avoid_box,
-    _check_sampleable,
     _limits,
-    _pair_at,
-    _pair_table,
-    _placements,
-    _row,
     _tally_range,
     _walk,
 )
 from faultring.paths import (
+    _healthy_pairs,
+    _pair_at,
+    _pair_table,
+    _placements,
+    _row,
     avoiding_brute,
     avoiding_det,
     avoiding_dp,
@@ -53,11 +54,11 @@ from faultring.reliability import (
     CROSS_CHECKS,
     ENGINES,
     OBSTACLES,
+    _SAMPLE_PAIRS,
     _avoid_set,
     _box_weight,
-    _free_pairs,
+    _drawn_pairs,
     _pair_sum,
-    _sampled_pairs,
     compute_reliability,
     miss_paths,
     total_paths,
@@ -310,41 +311,67 @@ def test_pair_table_rows_list_each_distance_in_ascending_order(radices):
         assert len(axis[0]) == length + 1
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(scenarios(), st.sampled_from(OBSTACLES))
+def test_drawn_pairs_are_the_healthy_pairs_of_the_pair_map(scenario, obstacle):
+    # The sampled cross-check draws its pairs as the estimator's pilot does:
+    # _pair_at on the ranks of one fixed-seed generator, a pair with a faulty
+    # endpoint passed over; merged into unordered pairs, each with its
+    # restriction points, or None when an endpoint is in the avoid set.
+    shape, complex_ = scenario
+    avoid = _avoid_set(complex_, obstacle)
+    faulty = padded_indices(shape, complex_.faults)
+    try:
+        drawn = _healthy_pairs(_pair_table(shape), faulty, _SAMPLE_PAIRS)
+    except ValueError:
+        with pytest.raises(ValueError, match="run `analyze`"):
+            _drawn_pairs(shape, complex_, avoid)
+        return
+    node_at = {padded_index(v, shape.padded_strides()): v for v in shape.nodes()}
+    pairs = _drawn_pairs(shape, complex_, avoid)
+    merged = Counter(frozenset((node_at[first], node_at[last])) for first, last in drawn)
+    assert Counter({frozenset((a, b)): draws for a, b, draws, _ in pairs}) == merged
+    for a, b, _, points in pairs:
+        assert points == (None if {a, b} & avoid else restriction_points(a, b, avoid))
+    sizes = [len(points or ()) for *_, points in pairs]
+    assert sizes == sorted(sizes)
+
+
 @st.composite
-def avoid_sets(draw):
-    """A mesh of at most 300 nodes with n 1..4 and a set of scattered nodes,
-    optionally with the first node, the last node, a full row and a coordinate
-    outside the mesh."""
-    n = draw(st.integers(1, 4))
+def checked_scenarios(draw):
+    """A mesh with n 1..4 and radices 2..6 of at most MAX_NODES nodes; one
+    rect fault, or faults scattered at a density up to 0.5, leaving at least
+    two healthy nodes; and an obstacle. Built from one drawn seed, as a
+    hypothesis draw per node would cost more than the check."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(1, 4)
     radices: list[int] = []
     for i in range(n):
-        room = 300 // (math.prod(radices) * 2 ** (n - i - 1))
-        radices.append(draw(st.integers(2, room)))
+        room = MAX_NODES // (math.prod(radices) * 2 ** (n - i - 1))
+        radices.append(rng.randint(2, min(6, room)))
     shape = MeshShape(tuple(radices))
-    nodes = list(shape.nodes())
-    density = draw(st.sampled_from((0.0, 0.05, 0.3)))
-    rng = random.Random(draw(st.integers(0, 2**16)))  # st.randoms would cost a draw per node
-    avoid = {v for v in nodes if rng.random() < density}
-    if draw(st.booleans()):
-        avoid.add(nodes[0])
-    if draw(st.booleans()):
-        avoid.add(nodes[-1])
-    if draw(st.booleans()):
-        row = draw(st.sampled_from(nodes))[:-1]
-        avoid |= {v for v in nodes if v[:-1] == row}
-    if draw(st.booleans()):
-        avoid.add(draw(st.sampled_from((shape.radices, (-1,) * n))))
-    return shape, frozenset(avoid)
+    if rng.random() < 0.5:
+        origin = [rng.randrange(r) for r in radices]
+        fault = RectFault(tuple(origin), tuple(rng.randint(1, r - o) for r, o in zip(radices, origin)))
+    else:
+        density = rng.choice((0.05, 0.2, 0.5))
+        fault = ArbitraryFault(frozenset(v for v in shape.nodes() if rng.random() < density))
+    complex_ = build_complex(shape, fault)
+    assume(shape.node_count - len(complex_.faults) >= 2)
+    return shape, complex_, rng.choice(OBSTACLES)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(avoid_sets())
-def test_sampled_pairs_are_the_walked_pairs_of_their_ranks(case):
-    shape, avoid = case
-    free = sum(v not in avoid for v in shape.nodes())
-    step = max(1, free * (free - 1) // 2 // 64)
-    walked = list(islice(_free_pairs(shape, avoid), 0, step * 64, step))
-    assert list(_sampled_pairs(shape, avoid)) == walked
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(checked_scenarios())
+def test_sampled_cross_check_passes_the_correct_engine(case):
+    # The check raised no false alarm on 10 000 such scenarios with up to
+    # 400 nodes (see _check_sample). A scenario whose healthy pairs hold too
+    # little path weight for the draw is refused as the estimator refuses it.
+    shape, complex_, obstacle = case
+    try:
+        compute_reliability(shape, complex_, cross_check="sample", obstacle=obstacle)
+    except ValueError as exc:
+        assert "run `analyze`" in str(exc)
 
 
 @st.composite
@@ -475,7 +502,7 @@ def test_sample_loop_matches_the_reference_loop(case):
     table = _pair_table(shape)
     assume(shape.node_count - len(faulty) >= 2)
     try:
-        _check_sampleable(table, faulty)
+        _healthy_pairs(table, faulty, _PILOT_ACCEPTS)
     except ValueError:
         assume(False)
     avoid_nodes = _avoid_set(complex_, obstacle)

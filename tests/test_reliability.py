@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 import faultring
-from faultring import reliability
+from faultring import paths, reliability
 from faultring.faults import ArbitraryFault, FaultComplex, RectFault, build_complex
 from faultring.mesh import MeshShape
 from faultring.paths import avoiding_det, avoiding_dp, path_count
@@ -156,20 +156,36 @@ def _record_cross_checked_pairs(monkeypatch) -> list:
 
 
 def test_sampled_cross_check_visits_pinned_pairs(monkeypatch):
-    # Literal values computed before the per-pair engines shared one pair order.
+    # Literal values read when the pairs were first drawn by path weight: of
+    # 191 distinct pairs among the 400 draws, 102 have a restriction point and
+    # take a per-pair dp, fewest points first.
     shape = MeshShape((6, 7))
     complex_ = build_complex(shape, RectFault((2, 2), (2, 1)))
     seen = _record_cross_checked_pairs(monkeypatch)
+    dets = []
+
+    def recording_det(a, b, points):
+        dets.append((a, b))
+        return avoiding_det(a, b, points)
+
+    monkeypatch.setattr(reliability, "avoiding_det", recording_det)
     assert miss_paths(shape, complex_, "dp", cross_check="sample") == 1254
-    assert len(seen) == 64
-    assert seen[:2] == [((0, 0), (0, 1)), ((0, 0), (1, 0))]
-    assert seen[-1] == ((3, 6), (5, 5))
+    assert len(seen) == 102
+    assert seen[:2] == [((4, 6), (5, 3)), ((4, 0), (5, 1))]
+    assert seen[-1] == ((1, 4), (5, 0))
+    # The 4 pairs with the fewest restriction points are recounted by det,
+    # and a det value off by one fails the check on the first of them.
+    assert dets == seen[:4]
+    monkeypatch.setattr(reliability, "avoiding_det", lambda *args: avoiding_det(*args) + 1)
+    with pytest.raises(reliability.EngineMismatch) as caught:
+        miss_paths(shape, complex_, "dp", cross_check="sample")
+    assert caught.value.pair == ((4, 6), (5, 3))
 
 
 def test_sampled_cross_check_on_a_60_cubed_mesh_does_not_walk_its_pairs():
     # 60^3 less the 5^3 blocked nodes has about 2.3e10 free pairs: walking
-    # them to the sampled ranks takes minutes, unranking the 64 milliseconds.
-    # The engines are stubbed, so only choosing the pairs is timed.
+    # them takes minutes, drawing 400 by rank through the pair map
+    # milliseconds. The engines are stubbed, so only choosing the pairs is timed.
     code = """
 from faultring import reliability
 from faultring.faults import RectFault, build_complex
@@ -197,13 +213,15 @@ def test_per_pair_engines_run_on_the_fault_free_complex(monkeypatch):
 
 @pytest.mark.parametrize("engine, cross_check, dets, dps", [
     ("det", None, 861, 0),
-    ("auto", "sample", 64, 64),
+    ("auto", "sample", 0, 0),
     ("auto", "full", 861, 861),
 ])
 def test_fault_free_analysis_runs_the_requested_engine_and_cross_check(
     monkeypatch, engine, cross_check, dets, dps
 ):
     # 6x7 has 42 nodes, so 861 pairs; a fault-free complex takes no shortcut.
+    # A sampled pair with no restriction point needs no engine: its miss
+    # ratio is 1, so without faults the sample's p_miss test runs alone.
     calls = {"det": 0, "dp": 0}
 
     def counting(name, count):
@@ -339,9 +357,10 @@ def test_predicted_cost_adds_one_term_per_determinant():
     assert predicted_cost(shape, complex_, "det") == det
     assert predicted_cost(shape, complex_, "dp", "full") == cells + det
     assert predicted_cost(shape, complex_, "det", "full") == det
-    # The 64 sampled pairs' determinants, summed exactly.
-    assert predicted_cost(shape, complex_, "dp", "sample") == 11_011_329
-    assert predicted_cost(shape, complex_, "det", "sample") == det + (11_011_329 - cells)
+    # The sampled pairs' per-pair dp cells and their 4 determinants, summed
+    # exactly: under the default budget, so the sample runs on 30^3.
+    assert predicted_cost(shape, complex_, "dp", "sample") == 29_998_080 < DEFAULT_BUDGET
+    assert predicted_cost(shape, complex_, "det", "sample") == det + (29_998_080 - cells)
 
 
 def test_predicted_det_cost_keeps_its_values():
@@ -358,7 +377,9 @@ def test_predicted_det_cost_keeps_its_values():
 
 
 def test_sampled_cross_check_over_budget_is_refused_before_any_work(monkeypatch):
-    # 64 determinants of up to 344 rows: this run took 51 s before the sample was priced.
+    # A per-pair dp over boxes of up to 10^6 nodes for each drawn pair, and
+    # 4 determinants of 344 rows: with 64 uniform pairs, this run took 51 s
+    # before the sample was priced.
     def work(*args):
         raise AssertionError("the budget check comes before any exact work")
 
@@ -366,10 +387,56 @@ def test_sampled_cross_check_over_budget_is_refused_before_any_work(monkeypatch)
         monkeypatch.setattr(reliability, name, work)
     shape = MeshShape((100, 100, 100))
     complex_ = build_complex(shape, RectFault((40, 40, 40), (5, 5, 5)))
-    assert predicted_cost(shape, complex_, "dp", "sample") == 242_103_202
-    with pytest.raises(ValueError, match=r"predicted cost 2\.42e\+08 exceeds budget 1e\+08"):
+    assert predicted_cost(shape, complex_, "dp", "sample") == 1_020_642_710
+    with pytest.raises(ValueError, match=r"predicted cost 1\.02e\+09 exceeds budget 1e\+08"):
         compute_reliability(shape, complex_, cross_check="sample")
     check_budget(shape, float("inf"), complex_, "dp", "sample")
+
+
+def test_sampled_cross_check_prices_the_dp_cells_before_drawing_pairs(monkeypatch):
+    # 1000^3's dp cells alone, 8.1e10, are over the budget: the run is refused
+    # before the pair table's fold, which takes seconds here, begins.
+    def work(*args):
+        raise AssertionError("the dp cells are priced before any pair table is built")
+
+    monkeypatch.setattr(paths, "_pair_table", work)
+    monkeypatch.setattr(reliability, "_pair_table", work)
+    shape = MeshShape((1000, 1000, 1000))
+    complex_ = build_complex(shape, RectFault((500, 500, 500), (5, 5, 5)))
+    for engine in ("dp", "det"):
+        with pytest.raises(ValueError, match=r"predicted cost \S+ exceeds budget 1e\+08"):
+            compute_reliability(shape, complex_, engine, cross_check="sample")
+
+
+def test_sampled_cross_check_refuses_what_the_estimator_cannot_sample():
+    # A 12-row slab along one edge of 40x40 leaves healthy endpoints to about
+    # 0.007% of the path weight: the draw of the sampled pairs gives up as the
+    # estimator's pilot does, with its message, while the exact run without
+    # the sample answers.
+    shape = MeshShape((40, 40))
+    complex_ = build_complex(shape, RectFault((0, 0), (12, 40)))
+    assert 0 < compute_reliability(shape, complex_).p_hit < 1
+    with pytest.raises(ValueError, match=r"only \d+ of 100000 path-weighted pair draws .* run `analyze`"):
+        compute_reliability(shape, complex_, cross_check="sample")
+
+
+def test_sampled_cross_check_tests_the_reported_p_miss(monkeypatch):
+    # A numerator a seventh of the true one on the README scenario: the
+    # per-pair engines agree on every pair, but p_miss lies far from the
+    # sampled pairs' mean miss ratio. miss_paths alone, without the
+    # denominator, runs no such test.
+    shape = MeshShape((5, 5))
+    complex_ = build_complex(shape, RectFault((1, 1), (1, 2)))
+    pair_sum = reliability._pair_sum
+    monkeypatch.setattr(reliability, "_pair_sum", lambda *args: pair_sum(*args) // 7)
+    assert miss_paths(shape, complex_, cross_check="sample") == 148 // 7
+    with pytest.raises(reliability.SampleMismatch) as caught:
+        compute_reliability(shape, complex_, cross_check="sample")
+    exc = caught.value
+    assert isinstance(exc, reliability.EngineMismatch)
+    assert (exc.pair, exc.det_value, exc.dp_value) == (None, None, None)
+    assert exc.p_miss == 21 / 1461
+    assert abs(exc.p_miss - exc.mean) > reliability._SAMPLE_SIGMAS * exc.sigma
 
 
 def test_sampled_cross_check_within_budget_keeps_its_exact_answer():
