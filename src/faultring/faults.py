@@ -182,12 +182,18 @@ def build_complex(shape: MeshShape, spec: FaultSpec | None) -> FaultComplex:
 
 @dataclass(frozen=True)
 class Finding:
+    """One validation result: a kebab-case code, such as
+    "disconnected", and a message for people."""
+
     code: str
     message: str
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """validate_complex's findings: violations block analysis, infos are
+    advisory; ok holds when there are no violations."""
+
     violations: tuple[Finding, ...]
     infos: tuple[Finding, ...]
 

@@ -400,6 +400,10 @@ SIGMA_LIMIT = 4.0
 
 @dataclass(frozen=True)
 class McComparison:
+    """compare_with_exact's outcome: the exact p_hit, the estimate, their
+    absolute gap, that gap in standard errors, and whether it is within
+    SIGMA_LIMIT."""
+
     exact_p_hit: Fraction
     estimate: McEstimate
     abs_error: float

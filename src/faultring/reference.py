@@ -32,6 +32,10 @@ from faultring.mesh import MeshShape
 
 @dataclass(frozen=True)
 class ReferenceRow:
+    """One published benchmark scenario: a mesh and one rectangular fault,
+    the published label and p_hit, and the avoid-set convention under which
+    the exact engine reproduces that value; build() makes the scenario."""
+
     row: int
     radices: tuple[int, ...]
     origin: tuple[int, ...]

@@ -19,9 +19,10 @@ and serves as the independent oracle for miss_paths. The "full" cross-check
 reruns every pair on both per-pair engines and compares the sum; the
 "sample" cross-check draws pairs by path weight through the pair map the
 estimator samples with (paths._pair_table and paths._pair_at, whose tables
-live beside the fold there), tests the reported p_miss against their exact
-miss ratios, and reruns its cheapest few pairs on both engines. Each fails
-loudly on any disagreement.
+live beside the fold there), reruns its cheapest few pairs on both engines,
+and tests p_miss = miss_paths / total_paths against their exact miss ratios;
+miss_paths runs it, so miss_paths and compute_reliability test the same
+p_miss. Each fails loudly on any disagreement.
 
 The avoid set defaults to FR ("blocked"). Passing obstacle="faults" instead
 counts paths that dodge the fault region F alone, with numerator pairs drawn
@@ -150,25 +151,30 @@ def _drawn_pairs(shape: MeshShape, complex_: FaultComplex, avoid: frozenset[Coor
     return sorted(pairs, key=lambda pair: len(pair[3] or ()))
 
 
+def _recounted(pairs: list) -> list:
+    """The drawn pairs that take a determinant: the first _SAMPLE_DETS of
+    _drawn_pairs with a restriction point, so those with the fewest."""
+    return [pair for pair in pairs if pair[3]][:_SAMPLE_DETS]
+
+
 def _check_sample(
-    shape: MeshShape, complex_: FaultComplex, obstacle: Obstacle, p_miss: Fraction | None = None
+    shape: MeshShape, complex_: FaultComplex, avoid: frozenset[Coord], p_miss: Fraction
 ) -> None:
-    """The sampled cross-check, on the pairs of _drawn_pairs.
+    """The sampled cross-check of the reported p_miss, on the pairs of _drawn_pairs.
 
     Each pair's exact miss ratio is avoid(a, b) / P(a, b): 0 when an endpoint
     is in the avoid set, 1 when no restriction point lies in its box, and
-    otherwise avoid(a, b) from avoiding_dp. The _SAMPLE_DETS pairs with the
-    fewest restriction points, at least one, are recounted by avoiding_det,
-    and a disagreement raises EngineMismatch.
+    otherwise avoid(a, b) from avoiding_dp. The pairs of _recounted are
+    recounted by avoiding_det as well, and a disagreement raises
+    EngineMismatch.
 
     Pairs drawn with weight P(a, b) make the mean ratio of the draws an
-    unbiased estimate of p_miss = miss_paths / total_paths. Given p_miss, the
-    check raises SampleMismatch when it lies more than _SAMPLE_SIGMAS
-    standard errors from that mean. The standard error is the standard
-    deviation of the ratios with four 0s and four 1s appended, over the
-    square root of the draws: appended extremes keep equal ratios, as at
-    p_miss = 0.99, from reading as no spread, and cover a rare ratio the
-    draws missed. With 400 draws and 5 standard errors:
+    unbiased estimate of p_miss = miss_paths / total_paths. The check raises
+    SampleMismatch when p_miss lies more than _SAMPLE_SIGMAS standard errors
+    from that mean. The standard error is the standard deviation of the
+    ratios with four 0s and four 1s appended, over the square root of the
+    draws: appended extremes keep equal ratios, as at p_miss = 0.99, from
+    reading as no spread, and cover a rare ratio the draws missed. With 400 draws and 5 standard errors:
     - no correct run failed on 10 000 derandomized scenarios (n 1 to 4,
       radices 2 to 12 on at most 400 nodes, one rect fault or faults
       scattered at a density of 0.02 to 0.3, both obstacles), the largest
@@ -183,9 +189,8 @@ def _check_sample(
     """
     from statistics import fmean, stdev  # imported here: only a sampled check needs it
 
-    avoid = _avoid_set(complex_, obstacle)
     pairs = _drawn_pairs(shape, complex_, avoid)
-    recounted = [pair for pair in pairs if pair[3]][:_SAMPLE_DETS]
+    recounted = _recounted(pairs)
     ratios = []
     for a, b, draws, points in pairs:
         if (a, b, draws, points) in recounted:
@@ -193,10 +198,9 @@ def _check_sample(
         else:
             value = 0 if points is None else avoiding_dp(a, b, avoid) if points else path_count(a, b)
         ratios += [value / path_count(a, b)] * draws
-    if p_miss is not None:
-        mean, sigma = fmean(ratios), stdev(ratios + [0.0, 1.0] * 4) / math.sqrt(len(ratios))
-        if abs(p_miss - mean) > _SAMPLE_SIGMAS * sigma:
-            raise SampleMismatch(float(p_miss), mean, sigma)
+    mean, sigma = fmean(ratios), stdev(ratios + [0.0, 1.0] * 4) / math.sqrt(len(ratios))
+    if abs(p_miss - mean) > _SAMPLE_SIGMAS * sigma:
+        raise SampleMismatch(float(p_miss), mean, sigma)
 
 
 def predicted_cost(
@@ -219,16 +223,17 @@ def predicted_cost(
     nodes inside a random pair's bounding box, counting only the obstacle
     nodes inside the mesh; the per-pair dp of "full" is left out, each far
     below its determinant. So is the denominator's dp, which det runs only
-    for faults that do not fill a box.
+    for faults that do not fill a box, and which "sample" runs once more for
+    its p_miss.
     """
     cost = 3**shape.n * shape.n * shape.node_count if engine == "dp" else 0
     if engine == "dp" and cross_check == "off":
         return cost
     avoid = _avoid_set(complex_, obstacle)
     if cross_check == "sample":
-        pairs = [pair for pair in _drawn_pairs(shape, complex_, avoid) if pair[3]]
-        cost += shape.n * sum(bounding_box(a, b).volume for a, b, *_ in pairs)
-        cost += sum((len(points) + 1) ** 3 for *_, points in pairs[:_SAMPLE_DETS])
+        pairs = _drawn_pairs(shape, complex_, avoid)
+        cost += shape.n * sum(bounding_box(a, b).volume for a, b, _, points in pairs if points)
+        cost += sum((len(points) + 1) ** 3 for *_, points in _recounted(pairs))
     if engine == "det" or cross_check == "full":
         # ring_of clips the ring to the mesh, so only fault nodes can lie outside it.
         inside = len(avoid) - sum(not shape.contains(v) for v in complex_.faults)
@@ -398,19 +403,17 @@ def miss_paths(
     disagreement raises EngineMismatch naming the offending pair, and a
     result other than the recount's sum raises its subclass
     AggregateMismatch. Under det, "full" returns the recount: each
-    determinant is evaluated once. With "sample", the pairs of _check_sample
-    are drawn and their cheapest few recounted on both engines; the test of
-    the reported p_miss needs the denominator as well, and only
-    compute_reliability runs it. With an empty obstacle (no faults), dp
-    returns total_paths(shape), the closed form its passes would sum to; det
-    and "full" still visit their pairs.
+    determinant is evaluated once. With "sample", _check_sample recounts
+    its cheapest few drawn pairs on both engines and tests p_miss = result /
+    total_paths(shape, complex_.faults), raising SampleMismatch;
+    compute_reliability runs the same test through this call. With an
+    empty obstacle (no faults), dp returns total_paths(shape), the closed
+    form its passes would sum to; det and "full" still visit their pairs.
     """
     _require_choice("engine", engine, ("det", "dp"))
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
     avoid = _avoid_set(complex_, obstacle)
-    if cross_check == "sample":
-        _check_sample(shape, complex_, obstacle)
-    elif cross_check == "full":
+    if cross_check == "full":
         pairs = _free_pairs(shape, avoid)
         checked = sum(_recount(a, b, avoid, restriction_points(a, b, avoid)) for a, b in pairs)
 
@@ -423,11 +426,16 @@ def miss_paths(
         result = sum(avoiding_det(a, b, restriction_points(a, b, avoid)) for a, b in pairs)
     if cross_check == "full" and checked != result:
         raise AggregateMismatch(result, checked)
+    if cross_check == "sample":
+        _check_sample(shape, complex_, avoid, Fraction(result, total_paths(shape, complex_.faults)))
     return result
 
 
 @dataclass(frozen=True)
 class EngineChoice:
+    """select_engine's answer: the numerator engine, the cross-check with
+    None resolved to "off", and the det engine's predicted cost."""
+
     engine: Engine
     cross_check: CrossCheck
     predicted_det_cost: float
@@ -496,23 +504,19 @@ def compute_reliability(
     predicted_cost exceeds budget, raises ValueError before any work. The
     price is that of the run the resolved engine and cross-check make: cells
     for the dp passes and the sampled pairs' dp, plus (m + 1)^3 for each
-    determinant it evaluates. Under cross_check "sample" the reported p_miss
-    is tested against the sampled pairs' exact miss ratios (_check_sample),
-    and a failure raises SampleMismatch. workers is accepted and ignored: the
-    exact engine runs in one process, and only the Monte-Carlo estimator uses
-    workers.
+    determinant it evaluates. Under cross_check "sample", miss_paths tests
+    the reported p_miss against the sampled pairs' exact miss ratios
+    (_check_sample), and a failure raises SampleMismatch. workers is
+    accepted and ignored: the exact engine runs in one process, and only the
+    Monte-Carlo estimator uses workers.
     """
     choice = select_engine(shape, complex_, engine, cross_check, obstacle)
     check_budget(shape, budget, complex_, choice.engine, choice.cross_check, obstacle)
     denominator = total_paths(shape, complex_.faults)
-    sample = choice.cross_check == "sample"  # its check tests p_miss, so it runs below
-    check = "off" if sample else choice.cross_check
-    missing = miss_paths(shape, complex_, choice.engine, check, obstacle)
+    missing = miss_paths(shape, complex_, choice.engine, choice.cross_check, obstacle)
     p_miss = Fraction(missing, denominator)
     if not 0 <= p_miss <= 1:
         raise AssertionError(f"miss probability {p_miss} outside [0, 1]")
-    if sample:
-        _check_sample(shape, complex_, obstacle, p_miss)
     return ReliabilityResult(
         total_paths=denominator,
         miss_paths=missing,

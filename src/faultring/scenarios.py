@@ -65,6 +65,10 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class AnalysisOptions:
+    """A scenario's "analysis" record: the exact run's engine policy,
+    cross-check (None reads as "off"), decimal places, obstacle and budget,
+    as compute_reliability and the analyze output take them."""
+
     engine: EnginePolicy = "auto"
     cross_check: CrossCheck | None = None
     precision: int = 3
@@ -74,6 +78,9 @@ class AnalysisOptions:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed scenario: the mesh, its fault entries in file order, and the
+    analysis and mc records, each defaulted when the file leaves it out."""
+
     shape: MeshShape
     faults: tuple[FaultSpec, ...] = ()
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)

@@ -185,7 +185,10 @@ def test_sampled_cross_check_visits_pinned_pairs(monkeypatch):
 def test_sampled_cross_check_on_a_60_cubed_mesh_does_not_walk_its_pairs():
     # 60^3 less the 5^3 blocked nodes has about 2.3e10 free pairs: walking
     # them takes minutes, drawing 400 by rank through the pair map
-    # milliseconds. The engines are stubbed, so only choosing the pairs is timed.
+    # milliseconds. The engines are stubbed, so only choosing the pairs and
+    # the closed-form denominator of the p_miss test are timed. Every pair
+    # drawn has the whole block in its box, so each stubbed ratio is 0, as
+    # is the stubbed p_miss, and the test passes.
     code = """
 from faultring import reliability
 from faultring.faults import RectFault, build_complex
@@ -423,20 +426,24 @@ def test_sampled_cross_check_refuses_what_the_estimator_cannot_sample():
 def test_sampled_cross_check_tests_the_reported_p_miss(monkeypatch):
     # A numerator a seventh of the true one on the README scenario: the
     # per-pair engines agree on every pair, but p_miss lies far from the
-    # sampled pairs' mean miss ratio. miss_paths alone, without the
-    # denominator, runs no such test.
+    # sampled pairs' mean miss ratio. miss_paths divides its numerator by
+    # the denominator and runs the same test as compute_reliability.
     shape = MeshShape((5, 5))
     complex_ = build_complex(shape, RectFault((1, 1), (1, 2)))
     pair_sum = reliability._pair_sum
     monkeypatch.setattr(reliability, "_pair_sum", lambda *args: pair_sum(*args) // 7)
-    assert miss_paths(shape, complex_, cross_check="sample") == 148 // 7
-    with pytest.raises(reliability.SampleMismatch) as caught:
-        compute_reliability(shape, complex_, cross_check="sample")
-    exc = caught.value
-    assert isinstance(exc, reliability.EngineMismatch)
-    assert (exc.pair, exc.det_value, exc.dp_value) == (None, None, None)
-    assert exc.p_miss == 21 / 1461
-    assert abs(exc.p_miss - exc.mean) > reliability._SAMPLE_SIGMAS * exc.sigma
+    for obstacle, missing, distance in (("blocked", 148, 7.2), ("faults", 794, 31.0)):
+        raised = []
+        for run in (miss_paths, compute_reliability):
+            with pytest.raises(reliability.SampleMismatch) as caught:
+                run(shape, complex_, cross_check="sample", obstacle=obstacle)
+            raised.append(caught.value)
+        exc, again = raised
+        assert (again.p_miss, again.mean, again.sigma) == (exc.p_miss, exc.mean, exc.sigma)
+        assert isinstance(exc, reliability.EngineMismatch)
+        assert (exc.pair, exc.det_value, exc.dp_value) == (None, None, None)
+        assert exc.p_miss == (missing // 7) / 1461
+        assert round(abs(exc.p_miss - exc.mean) / exc.sigma, 1) == distance
 
 
 def test_sampled_cross_check_within_budget_keeps_its_exact_answer():
