@@ -36,6 +36,7 @@ from faultring.reliability import (
     DEFAULT_BUDGET,
     EngineMismatch,
     check_budget,
+    check_precision,
     compute_reliability,
     format_probability,
 )
@@ -78,6 +79,14 @@ def _int_at_least(low: int):
 
 _positive_int = _int_at_least(1)
 _nonneg_int = _int_at_least(0)
+
+
+def _precision(text: str) -> int:
+    """An argparse type for --precision: an integer >= 0 that check_precision admits."""
+    try:
+        return check_precision(_nonneg_int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _budget_value(text: str) -> float:
@@ -349,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(analyze, scenario=True)
     analyze.add_argument("--engine", choices=ENGINES, default=None)
     analyze.add_argument("--cross-check", choices=CROSS_CHECKS, default=None, dest="cross_check")
-    analyze.add_argument("--precision", type=_nonneg_int, default=None, metavar="N")
+    analyze.add_argument("--precision", type=_precision, default=None, metavar="N")
     analyze.add_argument("--obstacle", choices=OBSTACLES, default=None)
     analyze.add_argument("--budget", type=_budget_value, default=None, metavar="OPS",
                          help="refuse scenarios whose predicted cost exceeds this "
@@ -373,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip rows whose predicted cost exceeds this "
              "(low/default/high or a number)",
     )
-    table2.add_argument("--precision", type=_nonneg_int, metavar="N",
+    table2.add_argument("--precision", type=_precision, metavar="N",
                         default=AnalysisOptions.precision)
     table2.add_argument(
         "--skips-as-error", action="store_true",

@@ -13,7 +13,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterable, Sequence, Union
 
-from faultring.mesh import Coord, MeshShape, is_connected, require_node
+from faultring.mesh import Coord, MeshShape, int_components, is_connected, require_node
 
 
 class Classification(str, Enum):
@@ -28,15 +28,16 @@ class RectFault:
     """Axis-aligned block of faulty nodes anchored at its minimum corner.
 
     extents counts nodes per dimension, so the block spans
-    origin[i] .. origin[i] + extents[i] - 1 inclusive.
+    origin[i] .. origin[i] + extents[i] - 1 inclusive. A component that is
+    not an integer raises ValueError naming its dimension.
     """
 
     origin: Coord
     extents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "origin", tuple(int(x) for x in self.origin))
-        object.__setattr__(self, "extents", tuple(int(x) for x in self.extents))
+        object.__setattr__(self, "origin", int_components("origin", self.origin))
+        object.__setattr__(self, "extents", int_components("extent", self.extents))
         if len(self.origin) != len(self.extents):
             raise ValueError("origin and extents dimension mismatch")
         for i, e in enumerate(self.extents):
@@ -56,12 +57,14 @@ class OverlapFault:
 
 @dataclass(frozen=True)
 class ArbitraryFault:
-    """Explicit set of faulty nodes with no shape assumption."""
+    """Explicit set of faulty nodes with no shape assumption; a coordinate that
+    is not an integer raises ValueError naming its dimension."""
 
     nodes: frozenset[Coord]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(tuple(v) for v in self.nodes))
+        nodes = frozenset(int_components("node coordinate", v) for v in self.nodes)
+        object.__setattr__(self, "nodes", nodes)
 
 
 FaultSpec = Union[RectFault, OverlapFault, ArbitraryFault]

@@ -10,20 +10,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import lt, mul
+from operator import index, lt, mul
 from typing import Iterable, Iterator, Sequence
 
 Coord = tuple[int, ...]
 
 
+def int_components(kind: str, values: Iterable) -> tuple[int, ...]:
+    """values as a tuple of ints. A component operator.index refuses, such as
+    a float or a string, raises ValueError naming its dimension and kind."""
+    components = []
+    for i, x in enumerate(values):
+        try:
+            components.append(index(x))
+        except TypeError:
+            raise ValueError(f"dimension {i}: {kind} must be an integer, got {x!r}") from None
+    return tuple(components)
+
+
 @dataclass(frozen=True)
 class MeshShape:
-    """An n-dimensional mesh given by its radices (node count per dimension)."""
+    """An n-dimensional mesh given by its radices (node count per dimension);
+    a radix that is not an integer raises ValueError naming its dimension."""
 
     radices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        radices = tuple(int(r) for r in self.radices)
+        radices = int_components("radix", self.radices)
         object.__setattr__(self, "radices", radices)
         if not radices:
             raise ValueError("mesh needs at least one dimension")

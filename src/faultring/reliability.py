@@ -20,9 +20,11 @@ reruns every pair on both per-pair engines and compares the sum; the
 "sample" cross-check draws pairs by path weight through the pair map the
 estimator samples with (paths._pair_table and paths._pair_at, whose tables
 live beside the fold there), reruns its cheapest few pairs on both engines,
-and tests p_miss = miss_paths / total_paths against their exact miss ratios;
-miss_paths runs it, so miss_paths and compute_reliability test the same
-p_miss. Each fails loudly on any disagreement.
+and tests p_miss = miss_paths / total_paths against their exact miss ratios.
+Each fails loudly on any disagreement. Both entry points share one core
+(_miss_sum) that takes the denominator: compute_reliability computes it once
+per run and reads it for p_miss and for the sampled test alike, and
+miss_paths computes it only for "sample", so both test the same p_miss.
 
 The avoid set defaults to FR ("blocked"). Passing obstacle="faults" instead
 counts paths that dodge the fault region F alone, with numerator pairs drawn
@@ -32,6 +34,7 @@ outside F; published reference tables use that quantity for interior rings.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +75,12 @@ def _avoid_set(complex_: FaultComplex, obstacle: Obstacle) -> frozenset[Coord]:
 
 
 class EngineMismatch(RuntimeError):
-    """Two exact engines disagreed on a pair; something is deeply wrong."""
+    """Two exact engines disagreed on a pair; something is deeply wrong.
+
+    Its aggregate subclasses blame no one pair and keep the class defaults None.
+    """
+
+    pair = det_value = dp_value = None
 
     def __init__(self, pair: tuple[Coord, Coord], det_value: int, dp_value: int):
         self.pair = pair
@@ -91,7 +99,6 @@ class AggregateMismatch(EngineMismatch):
     """
 
     def __init__(self, aggregate: int, recount: int):
-        self.pair = self.det_value = self.dp_value = None
         self.aggregate = aggregate
         self.recount = recount
         RuntimeError.__init__(
@@ -107,7 +114,6 @@ class SampleMismatch(EngineMismatch):
     """
 
     def __init__(self, p_miss: float, mean: float, sigma: float):
-        self.pair = self.det_value = self.dp_value = None
         self.p_miss, self.mean, self.sigma = p_miss, mean, sigma
         RuntimeError.__init__(self, f"p_miss {p_miss:.6g} lies {abs(p_miss - mean) / sigma:.1f} "
                               f"standard errors from the sampled pairs' mean miss ratio {mean:.6g}")
@@ -223,8 +229,7 @@ def predicted_cost(
     nodes inside a random pair's bounding box, counting only the obstacle
     nodes inside the mesh; the per-pair dp of "full" is left out, each far
     below its determinant. So is the denominator's dp, which det runs only
-    for faults that do not fill a box, and which "sample" runs once more for
-    its p_miss.
+    for faults that do not fill a box.
     """
     cost = 3**shape.n * shape.n * shape.node_count if engine == "dp" else 0
     if engine == "dp" and cross_check == "off":
@@ -390,11 +395,8 @@ def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
 
 
 def miss_paths(
-    shape: MeshShape,
-    complex_: FaultComplex,
-    engine: Engine = "dp",
-    cross_check: CrossCheck = "off",
-    obstacle: Obstacle = "blocked",
+    shape: MeshShape, complex_: FaultComplex, engine: Engine = "dp",
+    cross_check: CrossCheck = "off", obstacle: Obstacle = "blocked",
 ) -> int:
     """Sum of obstacle-avoiding path counts over unordered pairs outside the obstacle.
 
@@ -403,16 +405,28 @@ def miss_paths(
     disagreement raises EngineMismatch naming the offending pair, and a
     result other than the recount's sum raises its subclass
     AggregateMismatch. Under det, "full" returns the recount: each
-    determinant is evaluated once. With "sample", _check_sample recounts
-    its cheapest few drawn pairs on both engines and tests p_miss = result /
-    total_paths(shape, complex_.faults), raising SampleMismatch;
-    compute_reliability runs the same test through this call. With an
-    empty obstacle (no faults), dp returns total_paths(shape), the closed
-    form its passes would sum to; det and "full" still visit their pairs.
+    determinant is evaluated once. With "sample", and only then, this call
+    computes total_paths(shape, complex_.faults); _check_sample recounts its
+    cheapest few drawn pairs on both engines and tests p_miss = result /
+    total_paths, raising SampleMismatch, the same test compute_reliability
+    runs on its own denominator. With an empty obstacle (no faults), dp
+    returns total_paths(shape), the closed form its passes would sum to; det
+    and "full" still visit their pairs.
     """
     _require_choice("engine", engine, ("det", "dp"))
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
     avoid = _avoid_set(complex_, obstacle)
+    denominator = total_paths(shape, complex_.faults) if cross_check == "sample" else None
+    return _miss_sum(shape, complex_, avoid, engine, cross_check, denominator)
+
+
+def _miss_sum(
+    shape: MeshShape, complex_: FaultComplex, avoid: frozenset[Coord], engine: Engine,
+    cross_check: CrossCheck, denominator: int | None,
+) -> int:
+    """miss_paths on checked names and the avoid set, the one exact run's core.
+    Under "sample", denominator is total_paths(shape, complex_.faults), the
+    p_miss test's divisor; the other cross-checks do not read it."""
     if cross_check == "full":
         pairs = _free_pairs(shape, avoid)
         checked = sum(_recount(a, b, avoid, restriction_points(a, b, avoid)) for a, b in pairs)
@@ -427,7 +441,7 @@ def miss_paths(
     if cross_check == "full" and checked != result:
         raise AggregateMismatch(result, checked)
     if cross_check == "sample":
-        _check_sample(shape, complex_, avoid, Fraction(result, total_paths(shape, complex_.faults)))
+        _check_sample(shape, complex_, avoid, Fraction(result, denominator))
     return result
 
 
@@ -441,27 +455,30 @@ class EngineChoice:
     predicted_det_cost: float
 
 
-def select_engine(
-    shape: MeshShape,
-    complex_: FaultComplex,
-    policy: EnginePolicy = "auto",
-    cross_check: CrossCheck | None = None,
-    obstacle: Obstacle = "blocked",
-) -> EngineChoice:
-    """Pick the miss-path engine for a scenario: "det" on request, "dp" otherwise.
-
-    cross_check None reads as "off"; any other value outside CROSS_CHECKS,
-    an empty string or False included, raises ValueError.
-
-    predicted_det_cost is predicted_cost's price for the det engine alone:
-    one determinant per free pair, whichever engine is picked.
-    """
-    _require_choice("engine", policy, ENGINES)
+def _resolved(engine: EnginePolicy, cross_check: CrossCheck | None) -> tuple[Engine, CrossCheck]:
+    """The engine and cross-check a run makes: "auto" runs "dp" and None reads
+    as "off". Any other name outside ENGINES or CROSS_CHECKS, an empty string
+    or False included, raises ValueError."""
+    _require_choice("engine", engine, ENGINES)
     cross_check = "off" if cross_check is None else cross_check
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
-    engine: Engine = "det" if policy == "det" else "dp"
-    det_cost = predicted_cost(shape, complex_, "det", "off", obstacle)
-    return EngineChoice(engine, cross_check, det_cost)
+    return "det" if engine == "det" else "dp", cross_check
+
+
+def select_engine(
+    shape: MeshShape, complex_: FaultComplex, policy: EnginePolicy = "auto",
+    cross_check: CrossCheck | None = None, obstacle: Obstacle = "blocked",
+) -> EngineChoice:
+    """The engine and cross-check compute_reliability runs for this policy and
+    cross_check, resolved by the same rule (_resolved): "det" on request,
+    "dp" otherwise, and None read as "off".
+
+    predicted_det_cost is predicted_cost's price for the det engine alone:
+    one determinant per free pair, whichever engine is picked. No run reads
+    this record; it reports the choice.
+    """
+    engine, cross_check = _resolved(policy, cross_check)
+    return EngineChoice(engine, cross_check, predicted_cost(shape, complex_, "det", "off", obstacle))
 
 
 @dataclass(frozen=True)
@@ -500,20 +517,24 @@ def compute_reliability(
     distinct non-faulty nodes. A fault-free complex takes the same path: the
     requested engine and cross-check run, and every route misses.
 
-    An unknown engine, cross_check or obstacle name, or a scenario whose
-    predicted_cost exceeds budget, raises ValueError before any work. The
-    price is that of the run the resolved engine and cross-check make: cells
-    for the dp passes and the sampled pairs' dp, plus (m + 1)^3 for each
-    determinant it evaluates. Under cross_check "sample", miss_paths tests
-    the reported p_miss against the sampled pairs' exact miss ratios
-    (_check_sample), and a failure raises SampleMismatch. workers is
-    accepted and ignored: the exact engine runs in one process, and only the
-    Monte-Carlo estimator uses workers.
+    The engine and cross-check are resolved once, by the rule select_engine
+    reports (_resolved): "auto" runs "dp" and None reads as "off". An unknown
+    engine, cross_check or obstacle name, or a scenario whose predicted_cost
+    exceeds budget, raises ValueError before any work. The price is that of
+    the run the resolved engine and cross-check make: cells for the dp
+    passes and the sampled pairs' dp, plus (m + 1)^3 for each determinant it
+    evaluates. total_paths then runs once, and its value is both p_miss's
+    denominator and, under cross_check "sample", the divisor of the p_miss
+    tested against the sampled pairs' exact miss ratios (_check_sample); a
+    failure raises SampleMismatch. workers is accepted and ignored: the
+    exact engine runs in one process, and only the Monte-Carlo estimator
+    uses workers.
     """
-    choice = select_engine(shape, complex_, engine, cross_check, obstacle)
-    check_budget(shape, budget, complex_, choice.engine, choice.cross_check, obstacle)
+    engine, cross_check = _resolved(engine, cross_check)
+    avoid = _avoid_set(complex_, obstacle)
+    check_budget(shape, budget, complex_, engine, cross_check, obstacle)
     denominator = total_paths(shape, complex_.faults)
-    missing = miss_paths(shape, complex_, choice.engine, choice.cross_check, obstacle)
+    missing = _miss_sum(shape, complex_, avoid, engine, cross_check, denominator)
     p_miss = Fraction(missing, denominator)
     if not 0 <= p_miss <= 1:
         raise AssertionError(f"miss probability {p_miss} outside [0, 1]")
@@ -522,16 +543,30 @@ def compute_reliability(
         miss_paths=missing,
         p_miss=p_miss,
         p_hit=1 - p_miss,
-        engine=choice.engine,
+        engine=engine,
         classification=complex_.classification,
         obstacle=obstacle,
     )
 
 
-def format_probability(value: Fraction, places: int = 3) -> str:
-    """Render an exact fraction as a decimal string, round half to even."""
+def check_precision(places: int) -> int:
+    """places, if format_probability renders that many decimal places of a
+    probability: at least 0 and, where the interpreter limits the digits of
+    an int converted to text (sys.get_int_max_str_digits), below that limit,
+    so that 10^places fits. Otherwise ValueError naming places."""
     if places < 0:
         raise ValueError("places must be >= 0")
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if 0 < limit <= places:
+        raise ValueError(f"precision {places} exceeds {limit - 1}, the most places this "
+                         f"interpreter renders (sys.get_int_max_str_digits() is {limit})")
+    return places
+
+
+def format_probability(value: Fraction, places: int = 3) -> str:
+    """Render an exact fraction as a decimal string, round half to even.
+    places beyond check_precision's bound raise ValueError before any work."""
+    check_precision(places)
     text = str(round(abs(value) * 10**places))  # Fraction rounds half to even, exactly
     if places:
         text = text.rjust(places + 1, "0")

@@ -28,7 +28,9 @@ block never reaches the analysis layer.
 Each kind of check has one home: _require_keys refuses unknown fields, then
 missing required ones; _int_list refuses a bool or a non-integer, then a value
 below its minimum, for list elements and fields alike; _check_length refuses
-a coordinate list whose length is not the mesh's dimension.
+a coordinate list whose length is not the mesh's dimension. A precision
+beyond what the interpreter renders (reliability.check_precision) is
+refused here too, before any exact work.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from faultring.faults import (
 from faultring.mesh import MeshShape
 from faultring.montecarlo import McConfig
 from faultring.reliability import CROSS_CHECKS, DEFAULT_BUDGET, ENGINES, OBSTACLES
-from faultring.reliability import CrossCheck, EnginePolicy, Obstacle
+from faultring.reliability import CrossCheck, EnginePolicy, Obstacle, check_precision
 
 
 class ScenarioError(ValueError):
@@ -222,12 +224,20 @@ def _budget_field(obj: dict, path: str) -> float:
     return float(budget) if budget <= sys.float_info.max else math.inf
 
 
+def _precision_field(obj: dict, path: str) -> int:
+    places = _int_field(obj, "precision", path, minimum=0)
+    try:
+        return check_precision(places)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}.precision", str(exc)) from None
+
+
 def _parse_analysis(obj, path: str) -> AnalysisOptions:
     return AnalysisOptions(**_given_fields(obj, path, {
         "engine": lambda: _choice_field(obj, "engine", path, ENGINES),
         "cross_check": lambda: None if obj["cross_check"] is None
                        else _choice_field(obj, "cross_check", path, CROSS_CHECKS),
-        "precision": lambda: _int_field(obj, "precision", path, minimum=0),
+        "precision": lambda: _precision_field(obj, path),
         "obstacle": lambda: _choice_field(obj, "obstacle", path, OBSTACLES),
         "budget": lambda: _budget_field(obj, path),
     }))

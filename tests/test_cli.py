@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -176,6 +177,37 @@ def test_analyze_prices_determinants_before_any_work(
     # Under the high budget the price passes the check, and the first engine call is reached.
     with pytest.raises(_WorkStarted):
         cli.main(["analyze", "-s", path, *option, "--budget", "high"])
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="the interpreter sets no int-to-text digit limit")
+def test_precision_beyond_the_digit_limit_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    top = _DIGIT_LIMIT - 1  # 4299 at the interpreter's default limit
+    # A p_hit of exactly 1 (ROW1) takes the most digits at the top precision.
+    for text, p_hit in ((README, Fraction(1313, 1461)), (ROW1, Fraction(1))):
+        path = _write(tmp_path, text)
+        assert cli.main(["analyze", "-s", path, "--precision", str(top), "--format", "json"]) == 0
+        rendered = json.loads(capsys.readouterr().out)["p_hit"]
+        assert rendered == reliability.format_probability(p_hit, top)
+        assert len(rendered) == top + 2
+
+    def work(*args, **kwargs):
+        raise _WorkStarted
+
+    monkeypatch.setattr(cli, "compute_reliability", work)
+    message = f"precision {_DIGIT_LIMIT} exceeds {top}"
+    for args in (["analyze", "-s", path], ["table2"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main([*args, "--precision", str(_DIGIT_LIMIT)])
+        assert err.value.code == 2
+        assert f"argument --precision: {message}" in capsys.readouterr().err
+    scenario = README[:-1] + f',"analysis":{{"precision":{_DIGIT_LIMIT}}}}}'
+    assert cli.main(["analyze", "-s", _write(tmp_path, scenario)]) == 2
+    assert f"analysis.precision: {message}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=message):
+        reliability.format_probability(Fraction(1, 3), _DIGIT_LIMIT)
 
 
 def test_analyze_reports_validation_before_budget(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from faultring.faults import (
@@ -22,6 +24,23 @@ def test_rect_fault_normalizes_and_validates():
     assert fault.extents == (2, 1)
     with pytest.raises(ValueError):
         RectFault((0, 0), (0, 1))
+
+
+def test_rect_fault_refuses_a_component_that_is_not_an_integer():
+    # int() would truncate these to origin (1, 0) and extents (1, 2).
+    with pytest.raises(ValueError, match=re.escape("dimension 0: origin must be an integer, got 1.9")):
+        RectFault((1.9, 0.5), (1.2, 2.8))
+    with pytest.raises(ValueError, match=re.escape("dimension 1: extent must be an integer, got 2.8")):
+        RectFault((1, 0), (1, 2.8))
+
+
+def test_arbitrary_fault_refuses_a_coordinate_that_is_not_an_integer():
+    # The fractional node used to pass build_complex and validate_complex and
+    # fail only inside the exact engine.
+    message = "dimension 0: node coordinate must be an integer, got 1.5"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ArbitraryFault(frozenset({(1.5, 2.0)}))
+    assert ArbitraryFault([[1, 2]]).nodes == {(1, 2)}
 
 
 def test_expand_rectangular_counts_nodes():

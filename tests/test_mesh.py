@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -21,6 +22,16 @@ def test_shape_rejects_degenerate_radices():
         MeshShape((4, 1))
     with pytest.raises(ValueError):
         MeshShape(())
+
+
+def test_shape_refuses_a_radix_that_is_not_an_integer():
+    # int() would truncate (2.9, 3.7) to a 2x3 mesh and read "3" as 3.
+    for radices, message in (
+        ((2.9, 3.7), "dimension 0: radix must be an integer, got 2.9"),
+        ((3, "4"), "dimension 1: radix must be an integer, got '4'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MeshShape(radices)
 
 
 def test_node_count_and_enumeration_order():

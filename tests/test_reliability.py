@@ -446,6 +446,63 @@ def test_sampled_cross_check_tests_the_reported_p_miss(monkeypatch):
         assert round(abs(exc.p_miss - exc.mean) / exc.sigma, 1) == distance
 
 
+def test_sampled_run_computes_its_denominator_once(monkeypatch):
+    # An L of three faults fills no box, so the denominator takes dp passes
+    # like the numerator: one sum each, and the p_miss test reads the same
+    # denominator rather than summing it again.
+    shape = MeshShape((6, 6))
+    complex_ = build_complex(shape, ArbitraryFault(frozenset({(2, 2), (2, 3), (3, 2)})))
+    calls = {"_pair_sum": 0, "total_paths": 0}
+
+    def counting(name):
+        count = getattr(reliability, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return count(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(reliability, name, counting(name))
+    for obstacle, p_hit in (("blocked", Fraction(5893, 6090)), ("faults", Fraction(398, 609))):
+        calls.update(dict.fromkeys(calls, 0))
+        result = compute_reliability(shape, complex_, cross_check="sample", obstacle=obstacle)
+        assert calls == {"_pair_sum": 2, "total_paths": 1}
+        assert result.p_hit == p_hit
+
+
+def test_compute_reliability_runs_without_select_engine_or_miss_paths(monkeypatch):
+    shape = MeshShape((5, 5))
+    complex_ = build_complex(shape, RectFault((1, 1), (1, 2)))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("compute_reliability resolves and runs its engine itself")
+
+    monkeypatch.setattr(reliability, "select_engine", refused)
+    monkeypatch.setattr(reliability, "miss_paths", refused)
+    for engine in ("auto", "dp", "det"):
+        for cross_check in (None, "off", "sample", "full"):
+            result = compute_reliability(shape, complex_, engine, cross_check)
+            assert (result.p_hit, result.engine) == (Fraction(1313, 1461), engine.replace("auto", "dp"))
+
+
+def test_select_engine_reports_the_engine_and_cross_check_that_run(monkeypatch):
+    shape = MeshShape((5, 5))
+    complex_ = build_complex(shape, RectFault((1, 1), (1, 2)))
+    miss_sum, ran = reliability._miss_sum, []
+
+    def recording(shape, complex_, avoid, engine, cross_check, denominator):
+        ran.append((engine, cross_check))
+        return miss_sum(shape, complex_, avoid, engine, cross_check, denominator)
+
+    monkeypatch.setattr(reliability, "_miss_sum", recording)
+    for policy in ("auto", "dp", "det"):
+        for cross_check in (None, "off", "sample", "full"):
+            choice = select_engine(shape, complex_, policy, cross_check)
+            compute_reliability(shape, complex_, policy, cross_check)
+            assert ran.pop() == (choice.engine, choice.cross_check)
+
+
 def test_sampled_cross_check_within_budget_keeps_its_exact_answer():
     shape = MeshShape((10, 10, 10))
     complex_ = build_complex(shape, RectFault((4, 4, 4), (2, 2, 2)))
