@@ -30,6 +30,7 @@ from faultring.faults import (
     build_complex,
     validate_complex,
 )
+from faultring.mesh import MeshShape, in_mesh_box
 from faultring.montecarlo import estimate_p_hit
 from faultring.reference import CONVENTION_NOTE, REFERENCE_ROWS
 from faultring.reliability import (
@@ -166,11 +167,13 @@ def _emit(rows: list[dict], fmt: str, stream, footer: list[str] | None = None) -
         stream.write(line + "\n")
 
 
-def _fault_descriptor(spec: FaultSpec | None, complex_: FaultComplex) -> tuple[str, str]:
+def _fault_descriptor(
+    shape: MeshShape, spec: FaultSpec | None, complex_: FaultComplex
+) -> tuple[str, str]:
     """Origin (minimum corner) and a compact shape label for the fault set."""
     if spec is None or not complex_.faults:
         return "", "none"
-    lo = tuple(map(min, zip(*complex_.faults)))
+    _, (lo, _), _ = in_mesh_box(shape, complex_.faults)
     origin = "(" + ",".join(map(str, lo)) + ")"
     if isinstance(spec, RectFault):
         return origin, "x".join(map(str, spec.extents))
@@ -215,7 +218,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_CROSS_CHECK
     runtime = time.perf_counter() - start
 
-    origin, fault_shape = _fault_descriptor(spec, complex_)
+    origin, fault_shape = _fault_descriptor(config.shape, spec, complex_)
     row = {
         "mesh": "x".join(map(str, config.shape.radices)),
         "classification": result.classification.value if result.classification else "none",

@@ -13,7 +13,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterable, Sequence, Union
 
-from faultring.mesh import Coord, MeshShape, int_components, is_connected, require_node
+from faultring.mesh import Coord, MeshShape, in_mesh_box, int_components, is_connected, require_node
 
 
 class Classification(str, Enum):
@@ -113,15 +113,23 @@ def expand_rectangular(shape: MeshShape, origin: Coord, extents: tuple[int, ...]
 def ring_of(shape: MeshShape, fault_nodes: Iterable[Coord]) -> set[Coord]:
     """Healthy nodes at Chebyshev distance exactly 1 from the fault set.
 
-    The Chebyshev ball of radius 1 is a product of intervals, so the fault set
-    is dilated one axis at a time: n passes, each adding the +-1 neighbours
-    along one axis that stay inside the mesh, give the whole clipped shell.
-    The passes keep every node inside the mesh unless a fault node lies
-    outside it; then only the in-mesh part of its shell counts.
+    Box branch: when every fault lies in the mesh and the faults fill their
+    bounding box (mesh.in_mesh_box), the ring is that box widened by one on
+    each side and clipped to the mesh, less the faults.
+
+    Otherwise the Chebyshev ball of radius 1, a product of intervals, is
+    built by dilating the fault set one axis at a time: n passes, each adding
+    the +-1 neighbours along one axis that stay inside the mesh, give the
+    whole clipped shell. The passes keep every node inside the mesh unless a
+    fault node lies outside it; then only the in-mesh part of its shell counts.
     """
     faults = set(fault_nodes)
     if not faults:
         raise ValueError("ring of an empty fault set is undefined")
+    inside, (lo, hi), fills = in_mesh_box(shape, faults)
+    if fills and len(inside) == len(faults):
+        sides = (range(max(l - 1, 0), min(h + 2, r)) for l, h, r in zip(lo, hi, shape.radices))
+        return set(product(*sides)) - faults
     ball = set(faults)
     for i, r in enumerate(shape.radices):
         ball |= {
@@ -140,12 +148,16 @@ def classify(shape: MeshShape, fault_nodes: Iterable[Coord]) -> Classification:
     """Chain when the region meets any mesh border, ring otherwise.
 
     Only the fault region itself decides; a ring whose shell gets clipped by
-    the border still classifies as a ring.
+    the border still classifies as a ring. The in-mesh faults meet a border
+    exactly when a corner of their bounding box (mesh.in_mesh_box) does, with
+    some coordinate 0 or r - 1, so MeshShape.on_boundary tests the two
+    corners and, one by one, only the fault nodes outside the mesh.
     """
     faults = set(fault_nodes)
     if not faults:
         raise ValueError("cannot classify an empty fault set")
-    if any(shape.on_boundary(f) for f in faults):
+    inside, corners, _ = in_mesh_box(shape, faults)
+    if any(map(shape.on_boundary, [*corners, *(faults - inside)])):
         return Classification.CHAIN
     return Classification.RING
 
@@ -234,13 +246,13 @@ def validate_complex(
     violations: list[Finding] = []
     infos: list[Finding] = []
 
-    outside = sorted(v for v in complex_.faults if not shape.contains(v))
+    in_mesh_faults, _, _ = in_mesh_box(shape, complex_.faults)
+    outside = sorted(complex_.faults - in_mesh_faults)
     if outside:
         violations.append(
             Finding("fault-outside-mesh", f"fault nodes outside the mesh: {outside[:5]}")
         )
 
-    in_mesh_faults = {v for v in complex_.faults if shape.contains(v)}
     healthy = shape.node_count - len(in_mesh_faults)
     if healthy <= 0:
         violations.append(Finding("all-nodes-faulty", "every node is faulty"))

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import index, lt, mul
-from typing import Iterable, Iterator, Sequence
+from operator import index, itemgetter, lt, mul
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 Coord = tuple[int, ...]
 
@@ -181,16 +181,51 @@ def bounding_box(a: Coord, b: Coord) -> Box:
     return Box(lo, hi)
 
 
+def in_mesh_box(
+    shape: MeshShape, nodes: Iterable[Coord]
+) -> tuple[AbstractSet[Coord], tuple[Coord, Coord], bool]:
+    """The in-mesh part of a node set, its bounding box as the low and high
+    corner, and whether the part fills that box. An empty part has low corner
+    radices and high corner (-1, ..., -1), low above high on every axis, and
+    fills it.
+
+    The one home of the "fills its box" test. reliability.total_paths takes
+    its closed form on it, faults.ring_of, faults.classify and is_connected
+    their box branches, faults.validate_complex its inside/outside split,
+    montecarlo.estimate_p_hit the early miss's box B, and
+    cli._fault_descriptor a fault set's origin. When every node lies in the
+    mesh, the part is the set passed in (a set, or one made from the
+    iterable) and no node is tested on its own.
+    """
+    def coordinates(part):  # the coordinates of the part's nodes on each axis
+        return [set(map(itemgetter(i), part)) for i in range(shape.n)]
+
+    nodes = nodes if isinstance(nodes, AbstractSet) else set(nodes)
+    sides = coordinates(nodes) if set(map(len, nodes)) == {shape.n} else None
+    if sides is None or not all(min(s) >= 0 and max(s) < r for s, r in zip(sides, shape.radices)):
+        nodes = {v for v in nodes if shape.contains(v)}
+        sides = coordinates(nodes)
+    lo = tuple(min(s, default=r) for s, r in zip(sides, shape.radices))
+    hi = tuple(max(s, default=-1) for s in sides)
+    fills = not nodes or len(nodes) == math.prod(h - l + 1 for l, h in zip(lo, hi))
+    return nodes, (lo, hi), fills
+
+
 def is_connected(shape: MeshShape, faulty: Iterable[Coord] = ()) -> bool:
     """True when the subgraph on non-faulty nodes is connected.
 
-    The search runs on a collapsed mesh, so its cost follows the fault
-    region, not the mesh. On each axis it keeps 0, r - 1 and every fault
-    coordinate with its two neighbours; a dropped coordinate x is then a
-    fault-free hyperplane between two fault-free ones, and linking x - 1 to
+    When the in-mesh faults fill their bounding box (in_mesh_box), the slab
+    rule answers from its corners: the healthy nodes are disconnected exactly
+    when the box spans the whole mesh on every axis but one and lies strictly
+    inside the mesh on that one, where it cuts the mesh in two.
+
+    Any other fault set is searched on a collapsed mesh, so its cost follows
+    the fault region, not the mesh. On each axis it keeps 0, r - 1 and every
+    fault coordinate with its two neighbours; a dropped coordinate x is then
+    a fault-free hyperplane between two fault-free ones, and linking x - 1 to
     x + 1 directly leaves connectivity as it was. So each run of fault-free
-    hyperplanes shrinks to at most two. Fault coordinates outside the mesh
-    are ignored.
+    hyperplanes shrinks to at most two. Either way, fault coordinates
+    outside the mesh are ignored.
 
     A search from the first healthy node in row-major order runs on the
     padded layout of MeshShape.padded_strides: a move along axis i is
@@ -199,7 +234,13 @@ def is_connected(shape: MeshShape, faulty: Iterable[Coord] = ()) -> bool:
 
     Raises ValueError if every node is faulty.
     """
-    faults = [v for v in faulty if shape.contains(v)]
+    faults, (lo, hi), fills = in_mesh_box(shape, faulty)
+    if len(faults) == shape.node_count:
+        raise ValueError("all nodes are faulty; connectivity is undefined")
+    if faults and fills:
+        # Per axis on which the box is short of the mesh: is it strictly inside there?
+        short = [0 < l and h < r - 1 for l, h, r in zip(lo, hi, shape.radices) if l or h < r - 1]
+        return short != [True]
     kept = []
     for i, r in enumerate(shape.radices):
         keep = {0, r - 1}
@@ -212,8 +253,6 @@ def is_connected(shape: MeshShape, faulty: Iterable[Coord] = ()) -> bool:
     offsets = [{x: (k + 1) * s for k, x in enumerate(axis)} for axis, s in zip(kept, strides)]
     dead = {sum(o[x] for o, x in zip(offsets, v)) for v in faults}
     alive_total = shape.node_count - len(dead)
-    if alive_total <= 0:
-        raise ValueError("all nodes are faulty; connectivity is undefined")
     cells = b"\0"
     for r, s in zip(reversed(shape.radices), reversed(strides)):
         cells = b"\1" * s + cells * r + b"\1" * s

@@ -55,7 +55,7 @@ from operator import getitem, lt
 from typing import Iterator
 
 from faultring.faults import FaultComplex
-from faultring.mesh import Coord, MeshShape, delta, padded_indices
+from faultring.mesh import Coord, MeshShape, delta, in_mesh_box, padded_indices
 from faultring.paths import _healthy_pairs, _pair_at, _pair_table, _row, _walk_steps
 from faultring.reliability import Obstacle, _avoid_set, compute_reliability
 
@@ -149,13 +149,6 @@ def sample_minimal_path(rng: random.Random, a: Coord, b: Coord) -> list[Coord]:
     return path
 
 
-def _avoid_box(shape: MeshShape, nodes) -> tuple[Coord, Coord]:
-    """B, the bounding box of the avoid nodes inside the mesh, as its low and
-    high corner; an empty one, low above high on every axis, when none is."""
-    sides = list(zip(*(v for v in nodes if shape.contains(v))))
-    return tuple(map(min, sides)) or shape.radices, tuple(map(max, sides)) or (-1,) * shape.n
-
-
 def _limits(radix: int, lo: int, hi: int) -> list[int]:
     """The fewest moves left along one axis at which a walk can still meet
     [lo, hi], B's side on the axis, by the last endpoint's coordinate e
@@ -192,10 +185,11 @@ def _tally_range(
     endpoint left by the redraws can be in it, and that lookup is skipped.
 
     Early miss: `box` is B, the bounding box of the avoid set's nodes in the
-    mesh (_avoid_box). A sample is a miss as soon as the box spanned by the
-    node it has reached and the last endpoint misses B, since every later
-    node lies in that box: when, on some axis, fewer moves are left than the
-    axis's limit at the last endpoint's coordinate and direction (_limits).
+    mesh (mesh.in_mesh_box; low above high when there are none). A sample is
+    a miss as soon as the box spanned by the node it has reached and the last
+    endpoint misses B, since every later node lies in that box: when, on
+    some axis, fewer moves are left than the axis's limit at the last
+    endpoint's coordinate and direction (_limits).
     A pair that misses on some axis takes no walk, so an empty avoid set
     makes every sample an immediate miss; in a walk only the axis just moved
     can start to miss, and it is tested before the avoid lookup.
@@ -362,7 +356,7 @@ def estimate_p_hit(
     avoid_nodes = _avoid_set(complex_, obstacle)
     # Under obstacle="faults" the avoid set is the fault set, indexed above.
     avoid = faulty if obstacle == "faults" else padded_indices(shape, avoid_nodes)
-    box = _avoid_box(shape, avoid_nodes)
+    _, box, _ = in_mesh_box(shape, avoid_nodes)
     table = _pair_table(shape)
     _healthy_pairs(table, faulty, _PILOT_ACCEPTS)  # the pilot
     blocks = -(-config.samples // _BLOCK)

@@ -43,7 +43,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Literal
 
 from faultring.faults import Classification, FaultComplex
-from faultring.mesh import Box, Coord, MeshShape, bounding_box, padded_indices
+from faultring.mesh import Box, Coord, MeshShape, bounding_box, in_mesh_box, padded_indices
 from faultring.paths import _axis_counts, _fold, _healthy_pairs, _pair_table, avoiding_det
 from faultring.paths import avoiding_dp, path_count, restriction_points
 
@@ -369,9 +369,9 @@ def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
     """Sum of minimal-path counts over unordered pairs of distinct non-faulty nodes.
 
     Geometry only: paths may run through faulty nodes. Fault coordinates
-    outside the mesh are ignored. When the faults F fill their bounding box
-    (or there are none), with M the mesh, N its size and W as in _box_weight,
-    the sum is closed-form:
+    outside the mesh are ignored. Box branch: when the faults F fill their
+    bounding box (mesh.in_mesh_box; or there are none), with M the mesh, N
+    its size and W as in _box_weight, the sum is closed-form:
 
         (W(M, M) - 2 W(F, M) + W(F, F) - (N - |F|)) / 2,
 
@@ -379,17 +379,16 @@ def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
     halved; with no faults the two F terms drop out. Any other fault set
     takes _pair_sum's passes over the mesh.
     """
-    faults = {v for v in fault_nodes if shape.contains(v)}
+    faults, corners, fills = in_mesh_box(shape, fault_nodes)
     healthy = shape.node_count - len(faults)
     if healthy < 2:
         raise ValueError("need at least two non-faulty nodes")
+    if not fills:
+        return _pair_sum(shape, faults, ())
     mesh = Box((0,) * shape.n, tuple(r - 1 for r in shape.radices))
     weight = _box_weight(mesh, mesh)
     if faults:
-        axes = list(zip(*faults))
-        box = Box(tuple(map(min, axes)), tuple(map(max, axes)))
-        if box.volume != len(faults):
-            return _pair_sum(shape, faults, ())
+        box = Box(*corners)
         weight += _box_weight(box, box) - 2 * _box_weight(box, mesh)
     return (weight - healthy) // 2
 
@@ -410,8 +409,9 @@ def miss_paths(
     cheapest few drawn pairs on both engines and tests p_miss = result /
     total_paths, raising SampleMismatch, the same test compute_reliability
     runs on its own denominator. With an empty obstacle (no faults), dp
-    returns total_paths(shape), the closed form its passes would sum to; det
-    and "full" still visit their pairs.
+    returns total_paths(shape), the closed form its passes would sum to,
+    computed here once (compute_reliability hands over its own); det and
+    "full" still visit their pairs.
     """
     _require_choice("engine", engine, ("det", "dp"))
     _require_choice("cross_check", cross_check, CROSS_CHECKS)
@@ -425,14 +425,16 @@ def _miss_sum(
     cross_check: CrossCheck, denominator: int | None,
 ) -> int:
     """miss_paths on checked names and the avoid set, the one exact run's core.
-    Under "sample", denominator is total_paths(shape, complex_.faults), the
-    p_miss test's divisor; the other cross-checks do not read it."""
+    denominator is total_paths(shape, complex_.faults) or None: under
+    "sample" it is the p_miss test's divisor, and with dp and an empty
+    avoid set it is the result, computed here only when None."""
     if cross_check == "full":
         pairs = _free_pairs(shape, avoid)
         checked = sum(_recount(a, b, avoid, restriction_points(a, b, avoid)) for a, b in pairs)
 
     if engine == "dp":
-        result = _pair_sum(shape, avoid, avoid) if avoid else total_paths(shape)
+        # With no faults every path misses, and the denominator (never 0) counts them all.
+        result = _pair_sum(shape, avoid, avoid) if avoid else denominator or total_paths(shape)
     elif cross_check == "full":
         result = checked  # the recount has summed every pair, det and dp agreeing
     else:

@@ -378,6 +378,8 @@ def _limit_address_space():
     [
         ([1000, 1000, 1000], [500, 500, 500], [5, 5, 5], 0, "PASS"),
         ([1000, 1000], [500, 0], [1, 1000], 3, "VIOLATION disconnected"),
+        # A block of 216 000 nodes: its ring, class and connectivity come from its corners.
+        ([300, 300, 300], [100, 100, 100], [60, 60, 60], 0, "PASS"),
     ],
 )
 def test_validate_cost_follows_the_fault_region(mesh, origin, extents, code, verdict):

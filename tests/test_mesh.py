@@ -8,6 +8,7 @@ from faultring.mesh import (
     MeshShape,
     bounding_box,
     delta,
+    in_mesh_box,
     is_connected,
     link_count_direct,
     link_count_formula,
@@ -99,6 +100,17 @@ def test_padded_indices_drop_nodes_outside_the_mesh():
     expected = frozenset(padded_index(v, strides) for v in inside)
     assert len(expected) == shape.node_count
     assert padded_indices(shape, inside + outside) == expected
+
+
+def test_in_mesh_box_splits_off_the_nodes_outside_the_mesh():
+    shape = MeshShape((3, 4))
+    block = {(x, y) for x in (1, 2) for y in (0, 1, 2)}
+    assert in_mesh_box(shape, block) == (block, ((1, 0), (2, 2)), True)
+    outside = [(1,), (1, 2, 0), (-1, 2), (3, 0), (0, 4)]
+    assert in_mesh_box(shape, block.union(outside)) == (block, ((1, 0), (2, 2)), True)
+    assert in_mesh_box(shape, [(0, 0), (2, 3)]) == ({(0, 0), (2, 3)}, ((0, 0), (2, 3)), False)
+    # No node in the mesh: low above high on every axis, and the empty part fills it.
+    assert in_mesh_box(shape, outside) == (set(), ((3, 4), (-1, -1)), True)
 
 
 def test_is_connected_simple_cases():

@@ -6,7 +6,9 @@ against per-pair counts, the Monte-Carlo pair table's rows against their
 definition, the sampled cross-check's pairs against the healthy pairs the
 pair map draws, and the check itself on correct engines, the Monte-Carlo
 sample loop against a reference loop, connectivity and rings against their
-definitions, and the scenario round trip."""
+definitions, the box branches of the ring, the border class and the
+connectivity check against the same definitions, and the scenario round
+trip."""
 
 import math
 import random
@@ -17,11 +19,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from faultring.faults import ArbitraryFault, OverlapFault, RectFault, build_complex, ring_of
+from faultring.faults import (
+    ArbitraryFault,
+    Classification,
+    FaultComplex,
+    OverlapFault,
+    RectFault,
+    build_complex,
+    classify,
+    ring_of,
+)
 from faultring.mesh import (
     Box,
     MeshShape,
     bounding_box,
+    in_mesh_box,
     is_connected,
     neighbors,
     padded_index,
@@ -32,7 +44,6 @@ from faultring.montecarlo import (
     _PILOT_ACCEPTS,
     _SEED_SPAN,
     McConfig,
-    _avoid_box,
     _limits,
     _tally_range,
     _walk,
@@ -377,7 +388,7 @@ def test_sampled_cross_check_passes_the_correct_engine(case):
 @st.composite
 def axis_sides(draw):
     """One axis of radix 2..9 and B's side [lo, hi] on it: anywhere, a single
-    coordinate, touching a border, the whole axis, or empty, as _avoid_box
+    coordinate, touching a border, the whole axis, or empty, as in_mesh_box
     gives it for no avoid node (lo = radix, hi = -1)."""
     radix = draw(st.integers(2, 9))
     kind = draw(st.sampled_from(("any", "single", "border", "whole", "empty")))
@@ -406,7 +417,7 @@ def test_walk_limits_stop_exactly_when_the_box_is_out_of_reach(case):
     # on the axis.
     radix, lo, hi = case
     if lo > hi:
-        assert _avoid_box(MeshShape((radix,)), ()) == ((radix,), (hi,))
+        assert in_mesh_box(MeshShape((radix,)), ())[1] == ((radix,), (hi,))
     limits = _limits(radix, lo, hi)
     ways, lasts, steps = _placements(radix, 1)
     assert len(ways) == radix and len(limits) == len(lasts) == len(steps) == 2 * radix
@@ -508,7 +519,7 @@ def test_sample_loop_matches_the_reference_loop(case):
     avoid_nodes = _avoid_set(complex_, obstacle)
     avoid = padded_indices(shape, avoid_nodes)
     expected = _reference_tally(shape, table, faulty, avoid, seed, start, stop)
-    box = _avoid_box(shape, avoid_nodes)
+    _, box, _ = in_mesh_box(shape, avoid_nodes)
     assert _tally_range(table, faulty, avoid, box, seed, start, stop) == expected
 
 
@@ -598,21 +609,90 @@ def test_collapsed_search_matches_neighbour_search(case):
     assert is_connected(shape, outside) == _connected_by_neighbour_search(shape, faults, healthy)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(faulty_meshes())
-def test_ring_is_the_healthy_chebyshev_shell(case):
-    shape, faults = case
-    assume(faults)
+def _chebyshev_shell(shape, faults):
+    """The healthy nodes of the mesh with a fault among their 3^n - 1 nearest."""
     shell = set()
     for v in shape.nodes():
         near = (tuple(x + o for x, o in zip(v, off)) for off in product((-1, 0, 1), repeat=shape.n))
         if v not in faults and any(u in faults for u in near):
             shell.add(v)
+    return shell
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(faulty_meshes())
+def test_ring_is_the_healthy_chebyshev_shell(case):
+    shape, faults = case
+    assume(faults)
+    shell = _chebyshev_shell(shape, faults)
     assert ring_of(shape, faults) == shell
     complex_ = build_complex(shape, ArbitraryFault(frozenset(faults)))
     assert complex_.faults == faults
     assert complex_.ring == shell
     assert complex_.blocked == faults | shell
+
+
+@st.composite
+def box_faults(draw):
+    """A mesh with n 1..4 and radices 2..6, a block of it given as a rect spec
+    or as the same nodes in an ArbitraryFault, and a node outside the mesh.
+    The block lies anywhere, against the border, strictly inside the mesh
+    wherever the radix allows, as one node, or as a full-width slab (full on
+    every axis but one) strictly inside the mesh on that axis where its radix
+    allows, or against its border."""
+    n = draw(st.integers(1, 4))
+    shape = MeshShape(tuple(draw(st.integers(2, 6)) for _ in range(n)))
+    kind = draw(st.sampled_from(("any", "border", "inside", "single", "slab", "border-slab")))
+    axis = draw(st.integers(0, n - 1))
+    sides = []
+    for i, r in enumerate(shape.radices):
+        lo, hi = sorted((draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))))
+        if kind == "single":
+            hi = lo
+        elif kind.endswith("slab") and i != axis:
+            lo, hi = 0, r - 1
+        elif kind in ("inside", "slab") and r > 2:
+            lo, hi = sorted((draw(st.integers(1, r - 2)), draw(st.integers(1, r - 2))))
+        elif kind.startswith("border") and i == axis:
+            lo, hi = draw(st.sampled_from(((0, hi), (lo, r - 1))))
+        sides.append((lo, hi))
+    origin = tuple(lo for lo, _ in sides)
+    extents = tuple(hi - lo + 1 for lo, hi in sides)
+    block = frozenset(product(*(range(lo, hi + 1) for lo, hi in sides)))
+    spec = draw(st.sampled_from((RectFault(origin, extents), ArbitraryFault(block))))
+    outside = tuple(draw(st.integers(-1, r)) for r in shape.radices)
+    assume(not shape.contains(outside))
+    return shape, spec, block, outside
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(box_faults())
+def test_box_branches_match_their_per_node_definitions(case):
+    # The ring, border class and connectivity of a block are read from its
+    # corners; each must equal its definition node by node. A node outside
+    # the mesh sends ring_of back to the dilation, and classify tests it alone.
+    shape, spec, block, outside = case
+    shell = _chebyshev_shell(shape, block)
+    assert ring_of(shape, block) == shell
+    far = tuple(r + 2 for r in shape.radices)  # its shell lies wholly outside the mesh
+    assert ring_of(shape, block | {far}) == shell
+
+    def per_node(faults):
+        border = any(shape.on_boundary(v) for v in faults)
+        return Classification.CHAIN if border else Classification.RING
+
+    assert classify(shape, block) == per_node(block)
+    assert classify(shape, block | {outside}) == per_node(block | {outside})
+
+    healthy = [v for v in shape.nodes() if v not in block]
+    if healthy:
+        assert is_connected(shape, block) == _connected_by_neighbour_search(shape, block, healthy)
+    else:
+        with pytest.raises(ValueError):
+            is_connected(shape, block)
+
+    expected = FaultComplex(block, frozenset(shell), block | shell, per_node(block))
+    assert build_complex(shape, spec) == expected
 
 
 @st.composite

@@ -253,6 +253,23 @@ def test_fault_free_dp_makes_no_pass_over_the_mesh(monkeypatch):
     assert compute_reliability(shape, clean, cross_check="sample").miss_paths == 12441
 
 
+@pytest.mark.parametrize("obstacle", ["blocked", "faults"])
+def test_fault_free_analysis_computes_its_denominator_once(monkeypatch, obstacle):
+    # The closed-form denominator is also the fault-free numerator; the core
+    # takes it from compute_reliability instead of computing it again.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return total_paths(*args)
+
+    monkeypatch.setattr(reliability, "total_paths", counted)
+    shape = MeshShape((6, 7))
+    result = compute_reliability(shape, build_complex(shape, None), obstacle=obstacle)
+    assert len(calls) == 1
+    assert (result.p_hit, result.total_paths, result.miss_paths) == (0, 12441, 12441)
+
+
 def test_aggregate_mismatch_keeps_the_engine_mismatch_fields():
     exc = reliability.AggregateMismatch(5, 6)
     assert isinstance(exc, reliability.EngineMismatch)
