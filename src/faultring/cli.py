@@ -36,7 +36,6 @@ from faultring.reference import CONVENTION_NOTE, REFERENCE_ROWS
 from faultring.reliability import (
     DEFAULT_BUDGET,
     EngineMismatch,
-    check_budget,
     check_precision,
     compute_reliability,
     format_probability,
@@ -279,15 +278,14 @@ def cmd_table2(args: argparse.Namespace) -> int:
             "convention": ref.convention,
         }
         shape, complex_ = ref.build()
+        start = time.perf_counter()
         try:
-            check_budget(shape, args.budget)
-        except ValueError as exc:
+            blocked = compute_reliability(shape, complex_, budget=args.budget)
+        except ValueError as exc:  # over budget: refused before any exact work
             skipped += 1
             blank = dict.fromkeys(computed_columns, "")
             rows.append({**base, **blank, "status": "SKIPPED", "note": str(exc)})
             continue
-        start = time.perf_counter()
-        blocked = compute_reliability(shape, complex_, budget=args.budget)
         faults = compute_reliability(shape, complex_, budget=args.budget, obstacle="faults")
         runtime = time.perf_counter() - start
         own = blocked if ref.convention == "blocked" else faults

@@ -113,21 +113,20 @@ def expand_rectangular(shape: MeshShape, origin: Coord, extents: tuple[int, ...]
 def ring_of(shape: MeshShape, fault_nodes: Iterable[Coord]) -> set[Coord]:
     """Healthy nodes at Chebyshev distance exactly 1 from the fault set.
 
-    Box branch: when every fault lies in the mesh and the faults fill their
-    bounding box (mesh.in_mesh_box), the ring is that box widened by one on
-    each side and clipped to the mesh, less the faults.
+    Only the faults inside the mesh count (mesh.in_mesh_box); a set with none
+    there is empty and raises ValueError. Box branch: when the faults fill
+    their bounding box, the ring is that box widened by one on each side and
+    clipped to the mesh, less the faults.
 
     Otherwise the Chebyshev ball of radius 1, a product of intervals, is
     built by dilating the fault set one axis at a time: n passes, each adding
     the +-1 neighbours along one axis that stay inside the mesh, give the
-    whole clipped shell. The passes keep every node inside the mesh unless a
-    fault node lies outside it; then only the in-mesh part of its shell counts.
+    whole clipped shell.
     """
-    faults = set(fault_nodes)
+    faults, (lo, hi), fills = in_mesh_box(shape, fault_nodes)
     if not faults:
         raise ValueError("ring of an empty fault set is undefined")
-    inside, (lo, hi), fills = in_mesh_box(shape, faults)
-    if fills and len(inside) == len(faults):
+    if fills:
         sides = (range(max(l - 1, 0), min(h + 2, r)) for l, h, r in zip(lo, hi, shape.radices))
         return set(product(*sides)) - faults
     ball = set(faults)
@@ -138,26 +137,23 @@ def ring_of(shape: MeshShape, fault_nodes: Iterable[Coord]) -> set[Coord]:
             for x in (v[i] - 1, v[i] + 1)
             if 0 <= x < r
         }
-    shell = ball - faults
-    if all(map(shape.contains, faults)):
-        return shell
-    return {v for v in shell if shape.contains(v)}
+    return ball - faults
 
 
 def classify(shape: MeshShape, fault_nodes: Iterable[Coord]) -> Classification:
     """Chain when the region meets any mesh border, ring otherwise.
 
-    Only the fault region itself decides; a ring whose shell gets clipped by
-    the border still classifies as a ring. The in-mesh faults meet a border
-    exactly when a corner of their bounding box (mesh.in_mesh_box) does, with
-    some coordinate 0 or r - 1, so MeshShape.on_boundary tests the two
-    corners and, one by one, only the fault nodes outside the mesh.
+    Only the fault region itself decides, and only its nodes inside the mesh
+    (mesh.in_mesh_box); a set with none there is empty and raises
+    ValueError. A ring whose shell gets clipped by the border still
+    classifies as a ring. The faults meet a border exactly when a corner of
+    their bounding box does, with some coordinate 0 or r - 1, so
+    MeshShape.on_boundary tests the two corners alone.
     """
-    faults = set(fault_nodes)
+    faults, corners, _ = in_mesh_box(shape, fault_nodes)
     if not faults:
         raise ValueError("cannot classify an empty fault set")
-    inside, corners, _ = in_mesh_box(shape, faults)
-    if any(map(shape.on_boundary, [*corners, *(faults - inside)])):
+    if any(map(shape.on_boundary, corners)):
         return Classification.CHAIN
     return Classification.RING
 

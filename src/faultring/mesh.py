@@ -189,11 +189,7 @@ def in_mesh_box(
     radices and high corner (-1, ..., -1), low above high on every axis, and
     fills it.
 
-    The one home of the "fills its box" test. reliability.total_paths takes
-    its closed form on it, faults.ring_of, faults.classify and is_connected
-    their box branches, faults.validate_complex its inside/outside split,
-    montecarlo.estimate_p_hit the early miss's box B, and
-    cli._fault_descriptor a fault set's origin. When every node lies in the
+    The one home of the "fills its box" test. When every node lies in the
     mesh, the part is the set passed in (a set, or one made from the
     iterable) and no node is tested on its own.
     """

@@ -92,19 +92,20 @@ def _fold(axes: Iterable[list[int]]) -> list[list[int]]:
 
 def _placements(radix: int, stride: int, origin: int = 0):
     """One axis's placement tables: c(x) by distance x, r for x = 0 and
-    2 (r - x) for x > 0, a low corner and a flip; and two lists of 2r
-    entries read at the spot p + x of a placement p at distance x, the last
-    endpoint's offset (the axis's r offsets twice) and the signed step (r
-    steps up, then r down), as montecarlo._limits is read. For x = 0, and
-    for x > 0 and p < r - x, the path walks up and ends at coordinate
-    p + x; the rest walk down and end at p + x - r. Either way the first
-    endpoint's offset is the last's less x steps, last - x * step, so no
-    per-distance list is kept. An offset is origin + coordinate * stride: an
-    axis of radix 1000 holds about 0.1 MiB (tracemalloc).
+    2 (r - x) for x > 0 (_axis_counts over the whole axis), a low corner and
+    a flip; and two lists of 2r entries read at the spot p + x of a
+    placement p at distance x, the last endpoint's offset (the axis's r
+    offsets twice) and the signed step (r steps up, then r down), as
+    montecarlo._limits is read. For x = 0, and for x > 0 and p < r - x, the
+    path walks up and ends at coordinate p + x; the rest walk down and end
+    at p + x - r. Either way the first endpoint's offset is the last's less
+    x steps, last - x * step, so no per-distance list is kept. An offset is
+    origin + coordinate * stride: an axis of radix 1000 holds about 0.1 MiB
+    (tracemalloc).
 
     Returns c(x) by distance, the last offsets and the steps."""
     offsets = [origin + i * stride for i in range(radix)]
-    ways = [radix] + [2 * (radix - x) for x in range(1, radix)]
+    ways = _axis_counts(0, radix - 1, 0, radix - 1)
     return ways, offsets * 2, [stride] * radix + [-stride] * radix
 
 

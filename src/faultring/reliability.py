@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Literal
 
-from faultring.faults import Classification, FaultComplex
+from faultring.faults import Classification, FaultComplex, build_complex
 from faultring.mesh import Box, Coord, MeshShape, bounding_box, in_mesh_box, padded_indices
 from faultring.paths import _axis_counts, _fold, _healthy_pairs, _pair_table, avoiding_det
 from faultring.paths import avoiding_dp, path_count, restriction_points
@@ -67,6 +67,16 @@ DEFAULT_BUDGET = 1e8
 def _require_choice(kind: str, value: str, allowed: tuple[str, ...]) -> None:
     if value not in allowed:
         raise ValueError(f"unknown {kind} {value!r}; expected one of {', '.join(allowed)}")
+
+
+def _resolved(engine: EnginePolicy, cross_check: CrossCheck | None) -> tuple[Engine, CrossCheck]:
+    """The engine and cross-check a run makes, read here by every entry point:
+    "auto" runs "dp" and None reads as "off". Any other name outside ENGINES
+    or CROSS_CHECKS, an empty string or False included, raises ValueError."""
+    _require_choice("engine", engine, ENGINES)
+    cross_check = "off" if cross_check is None else cross_check
+    _require_choice("cross_check", cross_check, CROSS_CHECKS)
+    return "det" if engine == "det" else "dp", cross_check
 
 
 def _avoid_set(complex_: FaultComplex, obstacle: Obstacle) -> frozenset[Coord]:
@@ -210,13 +220,15 @@ def _check_sample(
 
 
 def predicted_cost(
-    shape: MeshShape, complex_: FaultComplex | None = None, engine: Engine = "dp",
-    cross_check: CrossCheck = "off", obstacle: Obstacle = "blocked",
+    shape: MeshShape, complex_: FaultComplex | None = None, engine: EnginePolicy = "dp",
+    cross_check: CrossCheck | None = "off", obstacle: Obstacle = "blocked",
 ) -> float:
     """The price of the exact run compute_reliability makes with this engine,
     cross_check and obstacle: cells for the dp passes, plus (m + 1)^3 for each
     determinant the run evaluates, m that pair's restriction points. Every
     `budget` is a ceiling on this price, and nothing else computes a cost.
+    The names are resolved as compute_reliability resolves them (_resolved),
+    and complex_ None prices the fault-free run.
 
     The dp passes relax 3^n * n * N cells: each sum makes (3^n - 1) / 2 passes
     over the N nodes, and a pass relaxes at most n predecessors per node. They
@@ -227,21 +239,22 @@ def predicted_cost(
     the pairs that take one. Under engine "det" or cross_check "full" every
     free pair takes a determinant, with m the expected number of obstacle
     nodes inside a random pair's bounding box, counting only the obstacle
-    nodes inside the mesh; the per-pair dp of "full" is left out, each far
-    below its determinant. So is the denominator's dp, which det runs only
-    for faults that do not fill a box.
+    nodes inside the mesh (mesh.padded_indices); the per-pair dp of "full"
+    is left out, each far below its determinant. So is the denominator's dp,
+    which det runs only for faults that do not fill a box.
     """
+    engine, cross_check = _resolved(engine, cross_check)
+    complex_ = complex_ or build_complex(shape, None)
+    avoid = _avoid_set(complex_, obstacle)
     cost = 3**shape.n * shape.n * shape.node_count if engine == "dp" else 0
     if engine == "dp" and cross_check == "off":
         return cost
-    avoid = _avoid_set(complex_, obstacle)
     if cross_check == "sample":
         pairs = _drawn_pairs(shape, complex_, avoid)
         cost += shape.n * sum(bounding_box(a, b).volume for a, b, _, points in pairs if points)
         cost += sum((len(points) + 1) ** 3 for *_, points in _recounted(pairs))
     if engine == "det" or cross_check == "full":
-        # ring_of clips the ring to the mesh, so only fault nodes can lie outside it.
-        inside = len(avoid) - sum(not shape.contains(v) for v in complex_.faults)
+        inside = len(padded_indices(shape, avoid))
         free = shape.node_count - inside
         # The share of the mesh in a random pair's box: mean |x - y| + 1 over r, per axis.
         box_fraction = math.prod(((r * r - 1) / (3 * r) + 1) / r for r in shape.radices)
@@ -394,12 +407,14 @@ def total_paths(shape: MeshShape, fault_nodes: Iterable[Coord] = ()) -> int:
 
 
 def miss_paths(
-    shape: MeshShape, complex_: FaultComplex, engine: Engine = "dp",
-    cross_check: CrossCheck = "off", obstacle: Obstacle = "blocked",
+    shape: MeshShape, complex_: FaultComplex, engine: EnginePolicy = "dp",
+    cross_check: CrossCheck | None = "off", obstacle: Obstacle = "blocked",
 ) -> int:
     """Sum of obstacle-avoiding path counts over unordered pairs outside the obstacle.
 
-    The obstacle is FR by default, or F alone with obstacle="faults". With
+    The obstacle is FR by default, or F alone with obstacle="faults". The
+    engine and cross_check names are resolved as compute_reliability
+    resolves them (_resolved): "auto" runs "dp" and None reads as "off". With
     cross_check "full" every pair is recomputed on both engines; any
     disagreement raises EngineMismatch naming the offending pair, and a
     result other than the recount's sum raises its subclass
@@ -413,8 +428,7 @@ def miss_paths(
     computed here once (compute_reliability hands over its own); det and
     "full" still visit their pairs.
     """
-    _require_choice("engine", engine, ("det", "dp"))
-    _require_choice("cross_check", cross_check, CROSS_CHECKS)
+    engine, cross_check = _resolved(engine, cross_check)
     avoid = _avoid_set(complex_, obstacle)
     denominator = total_paths(shape, complex_.faults) if cross_check == "sample" else None
     return _miss_sum(shape, complex_, avoid, engine, cross_check, denominator)
@@ -455,16 +469,6 @@ class EngineChoice:
     engine: Engine
     cross_check: CrossCheck
     predicted_det_cost: float
-
-
-def _resolved(engine: EnginePolicy, cross_check: CrossCheck | None) -> tuple[Engine, CrossCheck]:
-    """The engine and cross-check a run makes: "auto" runs "dp" and None reads
-    as "off". Any other name outside ENGINES or CROSS_CHECKS, an empty string
-    or False included, raises ValueError."""
-    _require_choice("engine", engine, ENGINES)
-    cross_check = "off" if cross_check is None else cross_check
-    _require_choice("cross_check", cross_check, CROSS_CHECKS)
-    return "det" if engine == "det" else "dp", cross_check
 
 
 def select_engine(

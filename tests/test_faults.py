@@ -95,6 +95,24 @@ def test_classification_from_fault_region_only():
     assert classify(shape3, {(1, 1)}) is Classification.RING
 
 
+def test_ring_ignores_a_node_with_too_few_coordinates():
+    # (5,) is no node of a 2-D mesh; the dilation once raised IndexError on it.
+    shape = MeshShape((3, 3))
+    assert ring_of(shape, {(1, 1), (5,)}) == ring_of(shape, {(1, 1)})
+    assert len(ring_of(shape, {(1, 1), (5,)})) == 8
+    assert ring_of(shape, {(0, 0), (2, 2), (5,)}) == ring_of(shape, {(0, 0), (2, 2)})
+
+
+def test_ring_and_class_of_a_set_wholly_outside_the_mesh_are_undefined():
+    # Only the in-mesh part counts, so each of these sets is empty.
+    shape = MeshShape((3, 3))
+    for faults in ({(3, 3)}, {(-1, 1), (5,)}, {(1, 1, 1)}):
+        with pytest.raises(ValueError, match="empty fault set"):
+            ring_of(shape, faults)
+        with pytest.raises(ValueError, match="empty fault set"):
+            classify(shape, faults)
+
+
 def test_build_complex_empty():
     shape = MeshShape((4, 4))
     complex_ = build_complex(shape, None)

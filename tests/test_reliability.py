@@ -396,6 +396,39 @@ def test_predicted_det_cost_keeps_its_values():
     assert choice.predicted_det_cost == 9.595703125
 
 
+def test_every_entry_point_reads_auto_and_none_as_dp_and_off():
+    # predicted_cost once priced "auto" and unknown names at 0 cells, so
+    # check_budget admitted them, and miss_paths refused "auto".
+    shape = MeshShape((30, 30, 30))
+    complex_ = build_complex(shape, RectFault((12, 12, 12), (3, 3, 3)))
+    assert predicted_cost(shape, complex_, "auto", None) == 2_187_000
+    full = predicted_cost(shape, complex_, "dp", "full")
+    assert predicted_cost(shape, complex_, "auto", "full") == full
+    with pytest.raises(ValueError, match=r"predicted cost 2\.19e\+06 exceeds budget 10"):
+        check_budget(shape, 10, complex_, "auto")
+    for run, name in ((("bogus", "off"), "engine"), (("dp", "bogus"), "cross_check")):
+        with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
+            predicted_cost(shape, complex_, *run)
+        with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
+            check_budget(shape, 1e300, complex_, *run)
+    small = MeshShape((5, 5))
+    small_complex = build_complex(small, RectFault((1, 1), (1, 2)))
+    expected = miss_paths(small, small_complex, "dp", "off")
+    assert miss_paths(small, small_complex, engine="auto") == expected
+    assert miss_paths(small, small_complex, cross_check=None) == expected
+
+
+def test_predicted_cost_without_a_complex_prices_the_fault_free_run():
+    # Without a complex, every run but dp alone once raised AttributeError.
+    shape = MeshShape((5, 5))
+    empty = build_complex(shape, None)
+    for run in (("dp", "off"), ("det", "off"), ("dp", "full"), ("dp", "sample"), ("det", "sample")):
+        assert predicted_cost(shape, None, *run) == predicted_cost(shape, empty, *run)
+    # One determinant of no restriction point, (0 + 1)^3, for each of the 300 pairs.
+    assert predicted_cost(shape, None, "det") == 300
+    check_budget(shape, 300, None, "det")
+
+
 def test_sampled_cross_check_over_budget_is_refused_before_any_work(monkeypatch):
     # A per-pair dp over boxes of up to 10^6 nodes for each drawn pair, and
     # 4 determinants of 344 rows: with 64 uniform pairs, this run took 51 s
