@@ -262,8 +262,7 @@ def validate_complex(
                 Finding("disconnected", "fault region disconnects the healthy subgraph")
             )
 
-    # ring_of clips the ring to the mesh, so only fault nodes can lie outside it.
-    free_outside = shape.node_count - len(complex_.blocked) + len(outside)
+    free_outside = shape.node_count - len(in_mesh_box(shape, complex_.blocked)[0])
     if not complex_.is_empty and free_outside < 2:
         infos.append(
             Finding(

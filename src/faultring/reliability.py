@@ -21,10 +21,17 @@ reruns every pair on both per-pair engines and compares the sum; the
 estimator samples with (paths._pair_table and paths._pair_at, whose tables
 live beside the fold there), reruns its cheapest few pairs on both engines,
 and tests p_miss = miss_paths / total_paths against their exact miss ratios.
-Each fails loudly on any disagreement. Both entry points share one core
-(_miss_sum) that takes the denominator: compute_reliability computes it once
-per run and reads it for p_miss and for the sampled test alike, and
-miss_paths computes it only for "sample", so both test the same p_miss.
+Each fails loudly on any disagreement.
+
+Every exact entry point runs through one plan (_plan): it resolves the
+names, takes the avoid set, prices the run and refuses it over budget, and
+only then draws a sampled run's pairs, which it prices and budgets in turn.
+predicted_cost returns the plan's price and check_budget makes its refusal.
+compute_reliability and miss_paths run the plan's engine, cross-check,
+avoid set and pairs through one core (_miss_sum) that takes the
+denominator: compute_reliability computes it once per run and reads it for
+p_miss and for the sampled test alike, and miss_paths computes it only for
+"sample", so both test the same p_miss.
 
 The avoid set defaults to FR ("blocked"). Passing obstacle="faults" instead
 counts paths that dodge the fault region F alone, with numerator pairs drawn
@@ -38,7 +45,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Literal
 
@@ -144,11 +150,12 @@ def _free_pairs(shape: MeshShape, avoid: frozenset[Coord]) -> Iterator[tuple[Coo
     return combinations((v for v in shape.nodes() if v not in avoid), 2)
 
 
-@lru_cache(maxsize=1)  # the price and the check of one run read the same pairs
 def _drawn_pairs(shape: MeshShape, complex_: FaultComplex, avoid: frozenset[Coord]) -> list:
     """The sampled cross-check's pairs: _SAMPLE_PAIRS ordered pairs of distinct
     healthy nodes, drawn by path weight from a fixed seed as the estimator
     draws them (paths._healthy_pairs), and merged into unordered pairs.
+    _plan draws them once per sampled run, after the run's price without them
+    is within budget, and hands them to the run it prices.
 
     Returns (a, b, draws, points) per pair, points its restriction points, or
     None when an endpoint is in avoid, fewest points first, then in the order
@@ -173,10 +180,9 @@ def _recounted(pairs: list) -> list:
     return [pair for pair in pairs if pair[3]][:_SAMPLE_DETS]
 
 
-def _check_sample(
-    shape: MeshShape, complex_: FaultComplex, avoid: frozenset[Coord], p_miss: Fraction
-) -> None:
-    """The sampled cross-check of the reported p_miss, on the pairs of _drawn_pairs.
+def _check_sample(pairs: list, avoid: frozenset[Coord], p_miss: Fraction) -> None:
+    """The sampled cross-check of the reported p_miss, on the pairs _plan drew
+    (_drawn_pairs) and priced.
 
     Each pair's exact miss ratio is avoid(a, b) / P(a, b): 0 when an endpoint
     is in the avoid set, 1 when no restriction point lies in its box, and
@@ -205,7 +211,6 @@ def _check_sample(
     """
     from statistics import fmean, stdev  # imported here: only a sampled check needs it
 
-    pairs = _drawn_pairs(shape, complex_, avoid)
     recounted = _recounted(pairs)
     ratios = []
     for a, b, draws, points in pairs:
@@ -219,62 +224,80 @@ def _check_sample(
         raise SampleMismatch(float(p_miss), mean, sigma)
 
 
-def predicted_cost(
+def _plan(
     shape: MeshShape, complex_: FaultComplex | None = None, engine: EnginePolicy = "dp",
     cross_check: CrossCheck | None = "off", obstacle: Obstacle = "blocked",
-) -> float:
-    """The price of the exact run compute_reliability makes with this engine,
-    cross_check and obstacle: cells for the dp passes, plus (m + 1)^3 for each
-    determinant the run evaluates, m that pair's restriction points. Every
-    `budget` is a ceiling on this price, and nothing else computes a cost.
-    The names are resolved as compute_reliability resolves them (_resolved),
-    and complex_ None prices the fault-free run.
+    budget: float = math.inf,
+) -> tuple[Engine, CrossCheck, frozenset[Coord], list | None, float]:
+    """The exact run that engine, cross_check and obstacle describe, resolved,
+    priced and held to budget in one place: (engine, cross_check, avoid,
+    pairs, price). Every exact entry point runs through it, so that the run
+    priced is the run made.
 
-    The dp passes relax 3^n * n * N cells: each sum makes (3^n - 1) / 2 passes
-    over the N nodes, and a pass relaxes at most n predecessors per node. They
-    are charged whenever engine is "dp", also where total_paths is closed-form
-    or the obstacle is empty. Under cross_check "sample" the pairs are drawn
-    (_drawn_pairs) and priced exactly: n cells per node of each pair's box
-    for its per-pair dp, for the pairs that run one, and the determinants of
-    the pairs that take one. Under engine "det" or cross_check "full" every
-    free pair takes a determinant, with m the expected number of obstacle
-    nodes inside a random pair's bounding box, counting only the obstacle
-    nodes inside the mesh (mesh.padded_indices); the per-pair dp of "full"
-    is left out, each far below its determinant. So is the denominator's dp,
-    which det runs only for faults that do not fill a box.
+    The names are resolved by _resolved, and complex_ None is the fault-free
+    complex. A budget that is not a positive number (NaN included) raises
+    ValueError. So does a price over budget, and pairs are drawn only once the
+    price without them is within it: pairs is _drawn_pairs' list under
+    cross_check "sample", and None otherwise.
+
+    The price is cells for the dp passes, plus (m + 1)^3 for each determinant
+    the run evaluates, m that pair's restriction points. The dp passes relax
+    3^n * n * N cells: each sum makes (3^n - 1) / 2 passes over the N nodes,
+    and a pass relaxes at most n predecessors per node. They are charged
+    whenever engine is "dp", also where total_paths is closed-form or the
+    obstacle is empty. Under engine "det" or cross_check "full" every free
+    pair takes a determinant, with m the expected number of obstacle nodes
+    inside a random pair's bounding box, counting only the obstacle nodes
+    inside the mesh (mesh.padded_indices); the per-pair dp of "full" is left
+    out, each far below its determinant. So is the denominator's dp, which
+    det runs only for faults that do not fill a box. The drawn pairs are
+    priced exactly: n cells per node of each pair's box for the pairs that
+    run a per-pair dp, and the determinants of those that take one.
     """
     engine, cross_check = _resolved(engine, cross_check)
     complex_ = complex_ or build_complex(shape, None)
     avoid = _avoid_set(complex_, obstacle)
-    cost = 3**shape.n * shape.n * shape.node_count if engine == "dp" else 0
-    if engine == "dp" and cross_check == "off":
-        return cost
-    if cross_check == "sample":
-        pairs = _drawn_pairs(shape, complex_, avoid)
-        cost += shape.n * sum(bounding_box(a, b).volume for a, b, _, points in pairs if points)
-        cost += sum((len(points) + 1) ** 3 for *_, points in _recounted(pairs))
+    if not budget > 0:
+        raise ValueError(f"budget must be a positive number, got {budget!r}")
+    price = 3**shape.n * shape.n * shape.node_count if engine == "dp" else 0
     if engine == "det" or cross_check == "full":
         inside = len(padded_indices(shape, avoid))
         free = shape.node_count - inside
         # The share of the mesh in a random pair's box: mean |x - y| + 1 over r, per axis.
         box_fraction = math.prod(((r * r - 1) / (3 * r) + 1) / r for r in shape.radices)
-        cost += free * (free - 1) / 2 * (inside * box_fraction + 1) ** 3
-    return cost
+        price += free * (free - 1) / 2 * (inside * box_fraction + 1) ** 3
+    pairs = None
+    if cross_check == "sample" and price <= budget:
+        pairs = _drawn_pairs(shape, complex_, avoid)
+        dp_cells = shape.n * sum(bounding_box(a, b).volume for a, b, _, points in pairs if points)
+        price += dp_cells + sum((len(points) + 1) ** 3 for *_, points in _recounted(pairs))
+    if price > budget:
+        raise ValueError(f"predicted cost {price:.3g} exceeds budget {budget:.3g}")
+    return engine, cross_check, avoid, pairs, price
+
+
+def predicted_cost(
+    shape: MeshShape, complex_: FaultComplex | None = None, engine: EnginePolicy = "dp",
+    cross_check: CrossCheck | None = "off", obstacle: Obstacle = "blocked",
+) -> float:
+    """The price of the exact run compute_reliability makes with this engine,
+    cross_check and obstacle (see _plan): cells for the dp passes, plus
+    (m + 1)^3 for each determinant the run evaluates, m that pair's
+    restriction points. Every `budget` is a ceiling on this price, and
+    nothing else computes a cost. The names are resolved as
+    compute_reliability resolves them (_resolved), and complex_ None prices
+    the fault-free run. Under cross_check "sample" the price includes the
+    drawn pairs, so this call draws them."""
+    return _plan(shape, complex_, engine, cross_check, obstacle)[-1]
 
 
 def check_budget(shape: MeshShape, budget: float, *run) -> None:
     """Raise ValueError unless budget is a positive number (NaN is refused, not
     read as no ceiling) and at least predicted_cost(shape, *run), the price of
     the run that run's complex, engine, cross_check and obstacle describe. A
-    sampled cross-check is priced without its pairs first, so a run over
-    budget without them is refused before any pair table is built."""
-    if not budget > 0:
-        raise ValueError(f"budget must be a positive number, got {budget!r}")
-    if run[2:3] == ("sample",):
-        check_budget(shape, budget, *run[:2], "off", *run[3:])
-    cost = predicted_cost(shape, *run)
-    if cost > budget:
-        raise ValueError(f"predicted cost {cost:.3g} exceeds budget {budget:.3g}")
+    sampled cross-check is priced without its pairs first, and a run over
+    budget at that price draws none, so no pair table is built for it."""
+    _plan(shape, *run, budget=budget)
 
 
 def _pair_sum(
@@ -420,26 +443,26 @@ def miss_paths(
     result other than the recount's sum raises its subclass
     AggregateMismatch. Under det, "full" returns the recount: each
     determinant is evaluated once. With "sample", and only then, this call
-    computes total_paths(shape, complex_.faults); _check_sample recounts its
-    cheapest few drawn pairs on both engines and tests p_miss = result /
-    total_paths, raising SampleMismatch, the same test compute_reliability
-    runs on its own denominator. With an empty obstacle (no faults), dp
+    draws the pairs through _plan, as compute_reliability does, and computes
+    total_paths(shape, complex_.faults); _check_sample recounts the cheapest
+    few drawn pairs on both engines and tests p_miss = result / total_paths,
+    raising SampleMismatch, the same test compute_reliability runs on its own
+    denominator. No budget applies here. With an empty obstacle (no faults), dp
     returns total_paths(shape), the closed form its passes would sum to,
     computed here once (compute_reliability hands over its own); det and
     "full" still visit their pairs.
     """
-    engine, cross_check = _resolved(engine, cross_check)
-    avoid = _avoid_set(complex_, obstacle)
+    engine, cross_check, avoid, drawn, _ = _plan(shape, complex_, engine, cross_check, obstacle)
     denominator = total_paths(shape, complex_.faults) if cross_check == "sample" else None
-    return _miss_sum(shape, complex_, avoid, engine, cross_check, denominator)
+    return _miss_sum(shape, avoid, engine, cross_check, drawn, denominator)
 
 
 def _miss_sum(
-    shape: MeshShape, complex_: FaultComplex, avoid: frozenset[Coord], engine: Engine,
-    cross_check: CrossCheck, denominator: int | None,
+    shape: MeshShape, avoid: frozenset[Coord], engine: Engine, cross_check: CrossCheck,
+    drawn: list | None, denominator: int | None,
 ) -> int:
-    """miss_paths on checked names and the avoid set, the one exact run's core.
-    denominator is total_paths(shape, complex_.faults) or None: under
+    """miss_paths on a plan's names, avoid set and drawn pairs (_plan), the one
+    exact run's core. denominator is total_paths(shape, faults) or None: under
     "sample" it is the p_miss test's divisor, and with dp and an empty
     avoid set it is the result, computed here only when None."""
     if cross_check == "full":
@@ -457,7 +480,7 @@ def _miss_sum(
     if cross_check == "full" and checked != result:
         raise AggregateMismatch(result, checked)
     if cross_check == "sample":
-        _check_sample(shape, complex_, avoid, Fraction(result, denominator))
+        _check_sample(drawn, avoid, Fraction(result, denominator))
     return result
 
 
@@ -523,24 +546,24 @@ def compute_reliability(
     distinct non-faulty nodes. A fault-free complex takes the same path: the
     requested engine and cross-check run, and every route misses.
 
-    The engine and cross-check are resolved once, by the rule select_engine
-    reports (_resolved): "auto" runs "dp" and None reads as "off". An unknown
-    engine, cross_check or obstacle name, or a scenario whose predicted_cost
-    exceeds budget, raises ValueError before any work. The price is that of
-    the run the resolved engine and cross-check make: cells for the dp
-    passes and the sampled pairs' dp, plus (m + 1)^3 for each determinant it
-    evaluates. total_paths then runs once, and its value is both p_miss's
+    One call of _plan resolves the engine and cross-check, by the rule
+    select_engine reports (_resolved): "auto" runs "dp" and None reads as
+    "off". An unknown engine, cross_check or obstacle name, or a scenario
+    whose predicted_cost exceeds budget, raises ValueError before any work.
+    The price is that of the run the resolved engine and cross-check make:
+    cells for the dp passes and the sampled pairs' dp, plus (m + 1)^3 for
+    each determinant it evaluates; a sampled run over budget without its
+    pairs draws none, and the pairs drawn are those the run checks.
+    total_paths then runs once, and its value is both p_miss's
     denominator and, under cross_check "sample", the divisor of the p_miss
     tested against the sampled pairs' exact miss ratios (_check_sample); a
     failure raises SampleMismatch. workers is accepted and ignored: the
     exact engine runs in one process, and only the Monte-Carlo estimator
     uses workers.
     """
-    engine, cross_check = _resolved(engine, cross_check)
-    avoid = _avoid_set(complex_, obstacle)
-    check_budget(shape, budget, complex_, engine, cross_check, obstacle)
+    engine, cross_check, avoid, drawn, _ = _plan(shape, complex_, engine, cross_check, obstacle, budget)
     denominator = total_paths(shape, complex_.faults)
-    missing = _miss_sum(shape, complex_, avoid, engine, cross_check, denominator)
+    missing = _miss_sum(shape, avoid, engine, cross_check, drawn, denominator)
     p_miss = Fraction(missing, denominator)
     if not 0 <= p_miss <= 1:
         raise AssertionError(f"miss probability {p_miss} outside [0, 1]")

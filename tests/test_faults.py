@@ -178,6 +178,19 @@ def test_validate_counts_only_blocked_nodes_inside_the_mesh():
     assert not any(f.code == "blocked-covers-mesh" for f in report.infos)
 
 
+def test_validate_counts_ring_nodes_outside_the_mesh_as_no_nodes():
+    # A hand-built ring may hold a node outside the mesh, here (9, 9). The
+    # blocked set of the fault at (0, 0) still leaves (0, 2) and (1, 2) free,
+    # yet counting every blocked node but the faults outside the mesh as a
+    # node once reported blocked-covers-mesh.
+    shape = MeshShape((2, 3))
+    faults = frozenset({(0, 0)})
+    ring = frozenset(ring_of(shape, faults)) | {(9, 9)}
+    report = validate_complex(shape, FaultComplex(faults, ring, faults | ring, None))
+    assert report.ok
+    assert not any(f.code == "blocked-covers-mesh" for f in report.infos)
+
+
 def test_validate_flags_disjoint_overlap():
     shape = MeshShape((9, 9))
     spec = OverlapFault((RectFault((0, 0), (2, 2)), RectFault((6, 6), (2, 2))))

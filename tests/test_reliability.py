@@ -1,8 +1,10 @@
+import gc
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,12 +12,13 @@ import pytest
 
 import faultring
 from faultring import paths, reliability
-from faultring.faults import ArbitraryFault, FaultComplex, RectFault, build_complex
-from faultring.mesh import MeshShape
+from faultring.faults import ArbitraryFault, FaultComplex, OverlapFault, RectFault, build_complex
+from faultring.mesh import MeshShape, bounding_box, in_mesh_box
 from faultring.paths import avoiding_det, avoiding_dp, path_count
 from faultring.reference import reference_row
 from faultring.reliability import (
     DEFAULT_BUDGET,
+    OBSTACLES,
     check_budget,
     compute_reliability,
     format_probability,
@@ -461,6 +464,58 @@ def test_sampled_cross_check_prices_the_dp_cells_before_drawing_pairs(monkeypatc
             compute_reliability(shape, complex_, engine, cross_check="sample")
 
 
+def test_a_sampled_run_keeps_no_reference_to_its_complex():
+    # The drawn pairs were once cached for the price and the check to share,
+    # which kept the last sampled run's shape and complex alive after it
+    # returned.
+    shape = MeshShape((5, 5))
+    complex_ = build_complex(shape, RectFault((1, 1), (1, 2)))
+    compute_reliability(shape, complex_, cross_check="sample")
+    dropped = weakref.ref(complex_)
+    del complex_
+    gc.collect()
+    assert dropped() is None
+
+
+@pytest.mark.parametrize("fault", [
+    RectFault((3, 4), (3, 2)),
+    RectFault((0, 6), (4, 4)),
+    OverlapFault((RectFault((2, 2), (3, 2)), RectFault((4, 3), (2, 3)))),
+], ids=["box", "border-box", "overlap"])
+@pytest.mark.parametrize("obstacle", OBSTACLES)
+def test_the_price_is_that_of_the_work_the_run_does(monkeypatch, fault, obstacle):
+    # Under dp the price is the cells of the passes, n cells per node of the
+    # box of each per-pair dp that runs, and (m + 1)^3 for each determinant
+    # that runs, m its restriction points. Under det, whose determinants are
+    # priced at the expected m, determinants run exactly where that term is
+    # charged, and the passes only for a denominator that fills no box.
+    shape = MeshShape((10, 10))
+    complex_ = build_complex(shape, fault)
+    fills_a_box = in_mesh_box(shape, complex_.faults)[2]
+    calls = dict.fromkeys(("avoiding_dp", "avoiding_det", "_pair_sum"))
+    for name in calls:
+        def recording(*args, name=name, run=getattr(reliability, name)):
+            calls[name].append(args)
+            return run(*args)
+
+        monkeypatch.setattr(reliability, name, recording)
+    for engine in ("dp", "det"):
+        for cross_check in ("off", "sample"):
+            calls.update((name, []) for name in calls)
+            price = predicted_cost(shape, complex_, engine, cross_check, obstacle)
+            compute_reliability(shape, complex_, engine, cross_check, obstacle=obstacle)
+            if engine == "dp":
+                cells = 3**2 * 2 * 100 + 2 * sum(bounding_box(a, b).volume
+                                                  for a, b, _ in calls["avoiding_dp"])
+                dets = sum((len(points) + 1) ** 3 for _, _, points in calls["avoiding_det"])
+                assert price == cells + dets
+                assert 1 <= len(calls["_pair_sum"]) <= 2
+            else:
+                det_term = predicted_cost(shape, complex_, "det", "off", obstacle)
+                assert det_term > 0 and calls["avoiding_det"]
+                assert len(calls["_pair_sum"]) == (not fills_a_box)
+
+
 def test_sampled_cross_check_refuses_what_the_estimator_cannot_sample():
     # A 12-row slab along one edge of 40x40 leaves healthy endpoints to about
     # 0.007% of the path weight: the draw of the sampled pairs gives up as the
@@ -541,9 +596,9 @@ def test_select_engine_reports_the_engine_and_cross_check_that_run(monkeypatch):
     complex_ = build_complex(shape, RectFault((1, 1), (1, 2)))
     miss_sum, ran = reliability._miss_sum, []
 
-    def recording(shape, complex_, avoid, engine, cross_check, denominator):
+    def recording(shape, avoid, engine, cross_check, drawn, denominator):
         ran.append((engine, cross_check))
-        return miss_sum(shape, complex_, avoid, engine, cross_check, denominator)
+        return miss_sum(shape, avoid, engine, cross_check, drawn, denominator)
 
     monkeypatch.setattr(reliability, "_miss_sum", recording)
     for policy in ("auto", "dp", "det"):
