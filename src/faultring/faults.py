@@ -116,7 +116,12 @@ def ring_of(shape: MeshShape, fault_nodes: Iterable[Coord]) -> set[Coord]:
     Only the faults inside the mesh count (mesh.in_mesh_box); a set with none
     there is empty and raises ValueError. Box branch: when the faults fill
     their bounding box, the ring is that box widened by one on each side and
-    clipped to the mesh, less the faults.
+    clipped to the mesh, less the box, built face by face: for each axis i,
+    the faces at lo_i - 1 and hi_i + 1 that lie in the mesh (the ends of the
+    widened range outside the box), each spanning the box on the axes before
+    i and the widened, clipped range on the axes after i. A ring node lies in
+    the face of the first axis on which it leaves the box, so the faces are
+    disjoint and their union is the ring.
 
     Otherwise the Chebyshev ball of radius 1, a product of intervals, is
     built by dilating the fault set one axis at a time: n passes, each adding
@@ -127,8 +132,10 @@ def ring_of(shape: MeshShape, fault_nodes: Iterable[Coord]) -> set[Coord]:
     if not faults:
         raise ValueError("ring of an empty fault set is undefined")
     if fills:
-        sides = (range(max(l - 1, 0), min(h + 2, r)) for l, h, r in zip(lo, hi, shape.radices))
-        return set(product(*sides)) - faults
+        box = [range(l, h + 1) for l, h in zip(lo, hi)]
+        wide = [range(max(l - 1, 0), min(h + 2, r)) for l, h, r in zip(lo, hi, shape.radices)]
+        faces = ((i, x) for i, side in enumerate(wide) for x in (side[0], side[-1]) if x not in box[i])
+        return set().union(*(product(*box[:i], (x,), *wide[i + 1:]) for i, x in faces))
     ball = set(faults)
     for i, r in enumerate(shape.radices):
         ball |= {

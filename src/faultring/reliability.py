@@ -327,9 +327,14 @@ def _pair_sum(
     `excluded` and `forbidden` are numbered once each, and once in all when
     they are the same object, as for the numerator.
 
-    A pass relaxes G in place, in its visiting order, from the k = |{i: d_i != 0}|
-    padded offsets of its predecessors. k = 1 to 4 each have a loop written
-    out, g[p] += g[p - a] + g[p - b] for k = 2; larger k, which only n >= 5
+    Every pass writes one array g, allocated once per call and zeroed, in its
+    visiting order, from the padded offsets of its k = |{i: d_i != 0}|
+    predecessors: g[p] = e[p] + g[p - a] + g[p - b] for k = 2, where e[p] is
+    1 at an endpoint and 0 elsewhere. No pass needs a fresh copy of e: the
+    border and the forbidden nodes are in no visiting order, so their cells
+    stay 0; every pass visits the same nodes; and each predecessor comes
+    earlier in the order, so a pass has overwritten every cell it reads. k =
+    1 to 4 each have a loop written out; larger k, which only n >= 5
     reaches, loops over the offsets.
     """
     radices = shape.radices
@@ -348,9 +353,9 @@ def _pair_sum(
         return 0  # every pass would count its endpoints less their own count, 0
     blocked = skip if forbidden is excluded else padded_indices(shape, forbidden)
     ends = [p for p in visiting_order((1,) * n) if p not in skip]
-    seed = [0] * (strides[0] * (radices[0] + 2))
+    e = [0] * (strides[0] * (radices[0] + 2))
     for p in ends:
-        seed[p] = 1
+        e[p] = 1
 
     # Passes sharing the orientation of every axis share one visiting order.
     by_orientation: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
@@ -362,31 +367,31 @@ def _pair_sum(
         by_orientation.setdefault(tuple(x or 1 for x in d), []).append((sign, steps))
 
     total = 0
+    g = [0] * len(e)
     for orientation, passes in by_orientation.items():
         order = visiting_order(orientation)
         if blocked:
             order = [p for p in order if p not in blocked]
         for sign, steps in passes:
-            g = seed[:]
             if len(steps) == 1:
                 (a,) = steps
                 for p in order:
-                    g[p] += g[p - a]
+                    g[p] = e[p] + g[p - a]
             elif len(steps) == 2:
                 a, b = steps
                 for p in order:
-                    g[p] += g[p - a] + g[p - b]
+                    g[p] = e[p] + g[p - a] + g[p - b]
             elif len(steps) == 3:
                 a, b, c = steps
                 for p in order:
-                    g[p] += g[p - a] + g[p - b] + g[p - c]
+                    g[p] = e[p] + g[p - a] + g[p - b] + g[p - c]
             elif len(steps) == 4:
-                a, b, c, e = steps
+                a, b, c, d = steps
                 for p in order:
-                    g[p] += g[p - a] + g[p - b] + g[p - c] + g[p - e]
+                    g[p] = e[p] + g[p - a] + g[p - b] + g[p - c] + g[p - d]
             else:
                 for p in order:
-                    acc = g[p]
+                    acc = e[p]
                     for step in steps:
                         acc += g[p - step]
                     g[p] = acc

@@ -1,5 +1,6 @@
 """Property tests: the all-pairs engine against the per-pair oracles, its
-invariance under the symmetries of the mesh, the closed-form denominator of
+invariance under the symmetries of the mesh, also on meshes too large for the
+brute-force oracle, the closed-form denominator of
 box faults against the engine, the entry-edge form of the paths that miss a
 box against the per-pair engines, the per-axis fold of box-to-box path weights
 against per-pair counts, the Monte-Carlo pair table's rows against their
@@ -143,6 +144,54 @@ def test_p_hit_is_invariant_under_permutation_and_reflection(scenario, data):
         p_hit = compute_reliability(shape, complex_, obstacle=obstacle).p_hit
         for moved_shape, moved_complex in (permuted, reflected):
             assert compute_reliability(moved_shape, moved_complex, obstacle=obstacle).p_hit == p_hit
+
+
+@st.composite
+def large_avoid_sets(draw):
+    """A mesh of 41 to 400 nodes, past the brute-force oracle's reach, with
+    n 2..5 (radices 2 and 3 at n = 5, whose passes relax up to five
+    predecessors per node), and an avoid set: a box, maybe empty or the whole
+    mesh, or nodes scattered at a density up to 0.5. Built from one drawn
+    seed, as a hypothesis draw per node would cost more than the passes."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(2, 5)
+    low, high = {2: (7, 20), 3: (4, 7), 4: (3, 4), 5: (2, 3)}[n]
+    radices = [rng.randint(low, high) for _ in range(n)]
+    while math.prod(radices) < 41:
+        radices[rng.randrange(n)] = high
+    while math.prod(radices) > 400:
+        radices[rng.randrange(n)] = low
+    shape = MeshShape(tuple(radices))
+    if rng.random() < 0.5:
+        sides = [sorted((rng.randrange(r), rng.randrange(r))) for r in radices]
+        avoid = set(Box(*zip(*sides)).nodes())
+    else:
+        density = rng.choice((0.05, 0.2, 0.5))
+        avoid = {v for v in shape.nodes() if rng.random() < density}
+    return shape, avoid, rng.sample(range(n), n), [rng.random() < 0.5 for _ in range(n)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(large_avoid_sets())
+def test_pair_sum_is_invariant_under_permutation_and_reflection_on_larger_meshes(case):
+    # Each dp pass relaxes one shared array in place along its own visiting
+    # order, trusting every cell outside that order to hold 0 and every cell in
+    # it to be overwritten before it is read; an orientation that broke this
+    # would count differently from its mirror image. Both forms are held: the
+    # numerator's (A, A) and the denominator's (F, ()). A box's (F, ()) form
+    # is also total_paths' closed form.
+    shape, avoid, perm, flips = case
+    radices = shape.radices
+    sums = (_pair_sum(shape, avoid, avoid), _pair_sum(shape, avoid, ()))
+    for moved_radices, image in (
+        (tuple(radices[p] for p in perm), lambda v: tuple(v[p] for p in perm)),
+        (radices, lambda v: tuple(r - 1 - x if f else x for x, r, f in zip(v, radices, flips))),
+    ):
+        moved_shape = MeshShape(moved_radices)
+        moved = {image(v) for v in avoid}
+        assert (_pair_sum(moved_shape, moved, moved), _pair_sum(moved_shape, moved, ())) == sums
+    if in_mesh_box(shape, avoid)[2] and shape.node_count - len(avoid) >= 2:
+        assert total_paths(shape, avoid) == sums[1]
 
 
 @st.composite
