@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import index, itemgetter, lt, mul
+from operator import index, itemgetter, le, lt, mul
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 Coord = tuple[int, ...]
@@ -160,9 +160,8 @@ class Box:
             raise ValueError("lo corner must not exceed hi corner")
 
     def contains(self, v: Coord) -> bool:
-        if len(v) != len(self.lo):
-            return False
-        return all(l <= x <= h for x, l, h in zip(v, self.lo, self.hi))
+        """True when v has the box's dimension and lo <= v <= hi on every axis."""
+        return len(v) == len(self.lo) and all(map(le, self.lo, v)) and all(map(le, v, self.hi))
 
     @property
     def volume(self) -> int:

@@ -238,8 +238,8 @@ def _healthy_pairs(table, faulty: frozenset[int], count: int) -> list[tuple[int,
                 return pairs
     raise ValueError(
         f"only {len(pairs)} of {_PAIR_DRAWS} path-weighted pair draws have two non-faulty "
-        "endpoints: the faults hold nearly all of the path weight; run `analyze` for the "
-        "exact value"
+        "endpoints: the faults hold nearly all of the path weight; run `analyze` without "
+        "`--cross-check sample` for the exact value"
     )
 
 

@@ -137,17 +137,22 @@ class SampleMismatch(EngineMismatch):
 
 def _recount(a: Coord, b: Coord, avoid: frozenset[Coord], points: tuple[Coord, ...]) -> int:
     """avoid(a, b) by avoiding_dp, once avoiding_det on the pair's restriction
-    points agrees; a disagreement raises EngineMismatch naming the pair."""
+    points agrees; a disagreement raises EngineMismatch naming the pair. The
+    dp takes the whole avoid set, not the points, so that a wrong set of
+    restriction points shows here as a disagreement."""
     det_value, dp_value = avoiding_det(a, b, points), avoiding_dp(a, b, avoid)
     if det_value != dp_value:
         raise EngineMismatch((a, b), det_value, dp_value)
     return dp_value
 
 
-def _free_pairs(shape: MeshShape, avoid: frozenset[Coord]) -> Iterator[tuple[Coord, Coord]]:
-    """Unordered pairs of distinct nodes outside avoid, each node with every later one
-    in row-major order."""
-    return combinations((v for v in shape.nodes() if v not in avoid), 2)
+def _free_pairs(shape: MeshShape, avoid: frozenset[Coord]) -> Iterator[tuple]:
+    """The numerator's pairs for the per-pair engines: (a, b, points) for each
+    unordered pair of distinct nodes outside avoid, each node with every later
+    one in row-major order, points its restriction points (the layout of
+    _drawn_pairs). Both per-pair modes of _miss_sum read them from here."""
+    nodes = (v for v in shape.nodes() if v not in avoid)
+    return ((a, b, restriction_points(a, b, avoid)) for a, b in combinations(nodes, 2))
 
 
 def _drawn_pairs(shape: MeshShape, complex_: FaultComplex, avoid: frozenset[Coord]) -> list:
@@ -469,21 +474,21 @@ def _miss_sum(
     """miss_paths on a plan's names, avoid set and drawn pairs (_plan), the one
     exact run's core. denominator is total_paths(shape, faults) or None: under
     "sample" it is the p_miss test's divisor, and with dp and an empty
-    avoid set it is the result, computed here only when None."""
-    if cross_check == "full":
-        pairs = _free_pairs(shape, avoid)
-        checked = sum(_recount(a, b, avoid, restriction_points(a, b, avoid)) for a, b in pairs)
+    avoid set it is the result, computed here only when None.
 
-    if engine == "dp":
+    A run walks the free pairs (_free_pairs) at most once: under "full" every
+    pair is recounted by _recount, whose sum is det's result and is compared
+    with dp's, and det without "full" sums the determinants alone."""
+    if cross_check == "full":
+        checked = sum(_recount(a, b, avoid, points) for a, b, points in _free_pairs(shape, avoid))
+    if engine == "det":
+        result = checked if cross_check == "full" else sum(
+            avoiding_det(a, b, points) for a, b, points in _free_pairs(shape, avoid))
+    else:
         # With no faults every path misses, and the denominator (never 0) counts them all.
         result = _pair_sum(shape, avoid, avoid) if avoid else denominator or total_paths(shape)
-    elif cross_check == "full":
-        result = checked  # the recount has summed every pair, det and dp agreeing
-    else:
-        pairs = _free_pairs(shape, avoid)
-        result = sum(avoiding_det(a, b, restriction_points(a, b, avoid)) for a, b in pairs)
-    if cross_check == "full" and checked != result:
-        raise AggregateMismatch(result, checked)
+        if cross_check == "full" and checked != result:
+            raise AggregateMismatch(result, checked)
     if cross_check == "sample":
         _check_sample(drawn, avoid, Fraction(result, denominator))
     return result

@@ -404,6 +404,37 @@ def test_validate_json_shape(tmp_path, capsys):
     assert payload["violations"][0]["code"] == "disconnected"
 
 
+def test_validate_csv_lists_each_finding_or_a_pass(tmp_path, capsys):
+    code = cli.main(["validate", "-s", _write(tmp_path, WALL), "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert code == 3
+    assert rows[0] == ["kind", "code", "message"]
+    assert [row[:2] for row in rows[1:]] == [["violation", "disconnected"]]
+    code = cli.main(["validate", "-s", _write(tmp_path, EMPTY), "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out == "kind,code,message\npass,,\n"
+
+
+def test_simulate_validation_failure_exits_3(tmp_path, capsys):
+    text = '{"mesh":[4,4],"faults":[{"type":"rect","origin":[0,1],"extents":[4,1]}]}'
+    code = cli.main(["simulate", "-s", _write(tmp_path, text), "--samples", "10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "VIOLATION disconnected" in captured.err
+    assert captured.out == ""
+
+
+def test_analyze_labels_an_overlap_by_its_block_count(tmp_path, capsys):
+    text = (
+        '{"mesh":[8,8],"faults":[{"type":"overlap","blocks":[{"origin":[2,2],"extents":[2,1]},'
+        '{"origin":[3,2],"extents":[1,2]}]}]}'
+    )
+    code = cli.main(["analyze", "-s", _write(tmp_path, text), "--format", "json"])
+    row = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (row["origin"], row["fault_shape"]) == ("(2,2)", "overlap:2rects")
+
+
 def test_table2_budget_gates_heavy_rows(capsys):
     code = cli.main(["table2", "--budget", "40000", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)

@@ -205,3 +205,17 @@ def test_validate_flags_all_faulty():
     complex_ = build_complex(shape, spec)
     report = validate_complex(shape, complex_, spec)
     assert any(f.code == "all-nodes-faulty" for f in report.violations)
+
+
+def test_validate_flags_too_few_healthy():
+    shape = MeshShape((2, 2))
+    spec = ArbitraryFault({(0, 0), (0, 1), (1, 0)})
+    report = validate_complex(shape, build_complex(shape, spec), spec)
+    assert [f.code for f in report.violations] == ["too-few-healthy"]
+
+
+def test_validate_flags_an_overlap_of_one_block():
+    shape = MeshShape((9, 9))
+    spec = OverlapFault((RectFault((2, 2), (2, 2)),))
+    report = validate_complex(shape, build_complex(shape, spec), spec)
+    assert [f.code for f in report.violations] == ["overlap-too-few"]

@@ -139,6 +139,13 @@ def test_miss_paths_rejects_unknown_obstacle():
         miss_paths(shape, complex_, obstacle="everything")
 
 
+def test_total_paths_needs_two_healthy_nodes():
+    shape = MeshShape((2, 2))
+    with pytest.raises(ValueError, match="need at least two non-faulty nodes"):
+        total_paths(shape, [(0, 0), (0, 1), (1, 0)])
+    assert total_paths(shape, [(0, 0), (0, 1)]) == 1
+
+
 def test_cross_check_full_passes_on_clean_engines():
     shape = MeshShape((5, 5))
     complex_ = build_complex(shape, RectFault((1, 1), (1, 2)))
@@ -295,6 +302,42 @@ def test_full_cross_check_under_det_evaluates_each_determinant_once(monkeypatch)
     free = shape.node_count - len(complex_.blocked)
     assert len(calls) == free * (free - 1) // 2
     assert value == miss_paths(shape, complex_, engine="dp")
+
+
+@pytest.mark.parametrize("engine", ["dp", "det"])
+@pytest.mark.parametrize("obstacle, pair", [
+    ("blocked", ((2, 4), (3, 3))), ("faults", ((0, 0), (2, 1))),
+])
+def test_full_cross_check_catches_a_wrong_set_of_restriction_points(
+    monkeypatch, engine, obstacle, pair
+):
+    # Every pair's determinant runs on its restriction points less the first;
+    # the per-pair dp filters the whole avoid set itself, so the first pair
+    # whose count that changes is named, under either engine. Were the dp
+    # handed the same points, the two would agree on every pair.
+    shape = MeshShape((5, 5))
+    complex_ = build_complex(shape, RectFault((1, 1), (1, 2)))
+    points = reliability.restriction_points
+    monkeypatch.setattr(reliability, "restriction_points", lambda *args: points(*args)[1:])
+    with pytest.raises(reliability.EngineMismatch) as caught:
+        compute_reliability(shape, complex_, engine, cross_check="full", obstacle=obstacle)
+    assert caught.value.pair == pair
+
+
+@pytest.mark.parametrize("engine, cross_check", [("det", "off"), ("det", "full"), ("dp", "full")])
+def test_per_pair_runs_find_each_free_pairs_points_once(monkeypatch, engine, cross_check):
+    shape = MeshShape((5, 4, 3))
+    complex_ = build_complex(shape, RectFault((1, 1, 1), (2, 1, 1)))
+    calls, points = [], reliability.restriction_points
+
+    def recording_points(a, b, obstacles):
+        calls.append((a, b))
+        return points(a, b, obstacles)
+
+    monkeypatch.setattr(reliability, "restriction_points", recording_points)
+    assert miss_paths(shape, complex_, engine, cross_check) == miss_paths(shape, complex_)
+    free = shape.node_count - len(complex_.blocked)
+    assert len(calls) == len(set(calls)) == free * (free - 1) // 2
 
 
 def test_reliability_identities():
@@ -525,6 +568,17 @@ def test_sampled_cross_check_refuses_what_the_estimator_cannot_sample():
     complex_ = build_complex(shape, RectFault((0, 0), (12, 40)))
     assert 0 < compute_reliability(shape, complex_).p_hit < 1
     with pytest.raises(ValueError, match=r"only \d+ of 100000 path-weighted pair draws .* run `analyze`"):
+        compute_reliability(shape, complex_, cross_check="sample")
+
+
+def test_sampled_cross_check_refusal_names_the_run_that_answers():
+    # A 40x37 block along one edge of 40x40: the draw of the sampled pairs
+    # gives up, and the message points to the run without the sample, which
+    # answers at once.
+    shape = MeshShape((40, 40))
+    complex_ = build_complex(shape, RectFault((0, 0), (40, 37)))
+    assert compute_reliability(shape, complex_).p_hit == Fraction(1127, 1229)
+    with pytest.raises(ValueError, match="without `--cross-check sample` for the exact value"):
         compute_reliability(shape, complex_, cross_check="sample")
 
 
